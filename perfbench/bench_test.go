@@ -193,7 +193,8 @@ func TestDayNightDocumentMatchesScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := dayNightRun(defaultSeed, raw, nil, 0)
+	w, _ := findWorkload("daynight")
+	r, err := w.run(defaultSeed, raw, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

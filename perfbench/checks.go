@@ -15,13 +15,15 @@ const defaultSeed = 7
 
 // expectedDigest pins each workload's result at defaultSeed: the
 // experiment.Result digest of its simulation, or for sweep the combined
-// digest of all grid points in index order. peak-sharded must reproduce
-// the sequential peak bit for bit.
+// digest of all grid points in index order. The sharded workloads must
+// reproduce the sequential engine bit for bit. The peak digest is the
+// one a build registering client pools in sorted data-center order gives.
 var expectedDigest = map[string]string{
-	"peak":         "cd90c0f32e367ff9e75329d7c177f01581d49f2bb767663f0242d21b6ce3deab",
-	"peak-sharded": "cd90c0f32e367ff9e75329d7c177f01581d49f2bb767663f0242d21b6ce3deab",
-	"daynight":     "6b78cab8a88cab312c618ebfd17089d3d737ec53b84d0fe0840197a27453e558",
-	"sweep":        "f2f69600ac88eb8e81cff5ca6046c0414f42a448c0117a9778e9169980578f68",
+	"daynight":      "6b78cab8a88cab312c618ebfd17089d3d737ec53b84d0fe0840197a27453e558",
+	"sweep":         "f2f69600ac88eb8e81cff5ca6046c0414f42a448c0117a9778e9169980578f68",
+	"chaos-sharded": "31dcf2d984d5865c893c59ac6fd6edb5c3ddc9ba3dc6fed332553ee535dacaa2",
+	"peak":          "cd90c0f32e367ff9e75329d7c177f01581d49f2bb767663f0242d21b6ce3deab",
+	"peak-sharded":  "cd90c0f32e367ff9e75329d7c177f01581d49f2bb767663f0242d21b6ce3deab",
 }
 
 // combine reduces per-simulation digests to one, in order.
@@ -71,21 +73,31 @@ func checkPoint(pt experiment.PointResult) error {
 				return fmt.Errorf("fluid threshold %v but fluid engaged = %v", v.Value, engaged)
 			}
 		case "faults.atlantic.magnitude":
-			if v.Value == 0 {
-				if res.Faults != nil {
-					return fmt.Errorf("healthy point carries a fault report")
-				}
-				continue
-			}
-			if res.Faults == nil || len(res.Faults.Injections) != 1 {
-				return fmt.Errorf("magnitude %v point reports no single injection", v.Value)
-			}
-			inj := res.Faults.Injections[0]
-			if inj.InjectedAt != faultAt || inj.RecoveredAt != faultAt+faultFor {
-				return fmt.Errorf("fault applied at %v..%v, configured %v..%v",
-					inj.InjectedAt, inj.RecoveredAt, faultAt, faultAt+faultFor)
+			if err := checkFault(res, v.Value); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkFault asserts the Atlantic fault's report at the given magnitude:
+// none when healthy (magnitude 0), otherwise a single injection applied
+// and recovered at exactly the configured instants.
+func checkFault(res *experiment.Result, magnitude float64) error {
+	if magnitude == 0 {
+		if res.Faults != nil {
+			return fmt.Errorf("healthy point carries a fault report")
+		}
+		return nil
+	}
+	if res.Faults == nil || len(res.Faults.Injections) != 1 {
+		return fmt.Errorf("magnitude %v run reports no single injection", magnitude)
+	}
+	inj := res.Faults.Injections[0]
+	if inj.InjectedAt != faultAt || inj.RecoveredAt != faultAt+faultFor {
+		return fmt.Errorf("fault applied at %v..%v, configured %v..%v",
+			inj.InjectedAt, inj.RecoveredAt, faultAt, faultAt+faultFor)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"repro/internal/config"
 	"repro/internal/hardware"
@@ -40,7 +41,16 @@ const (
 	// expected arrivals per tick: below the PDM@EU rate (20 users x 20
 	// ops/h = 1.1e-3 per 10 ms tick), so the tier engages outside faults.
 	fluidAbove = 1e-3
+
+	// The chaos-sharded workload runs the chaos platform, Atlantic fault
+	// included, for shardedRunSec with shardedUsers per client data center.
+	shardedRunSec = 1800.0
+	shardedUsers  = 200.0
 )
+
+// shardedEngine is the chaos-sharded workload's engine: one shard per
+// core, capped at the chaos platform's three data centers.
+var shardedEngine = fmt.Sprintf("sharded:%d", min(runtime.NumCPU(), 3))
 
 // peakConfig is the consolidation platform at scale 1 over the 13:00 GMT
 // global peak hour.
@@ -70,11 +80,25 @@ func dayNightDoc(seed uint64) ([]byte, error) {
 	return encodeDoc(&d)
 }
 
-// chaosDoc is a three-data-center platform shaped like examples/chaos.json:
-// NA owns every file, EU and AS1 each run 20 open-loop PDM users around
-// the clock, and the Atlantic link NA-EU fails from faultAt for faultFor
-// seconds of a sweepRunSec run.
+// chaosDoc is the sweep's base document: the chaos platform with 20
+// PDM users per client data center over a sweepRunSec run.
 func chaosDoc(seed uint64) ([]byte, error) {
+	return chaosPlatform(seed, 20, sweepRunSec, "")
+}
+
+// shardedDoc is the chaos-sharded workload's document: the chaos platform
+// loaded with shardedUsers PDM users per client data center over a
+// shardedRunSec run on the sharded engine, one shard per core up to one
+// per data center.
+func shardedDoc(seed uint64) ([]byte, error) {
+	return chaosPlatform(seed, shardedUsers, shardedRunSec, shardedEngine)
+}
+
+// chaosPlatform is a three-data-center platform shaped like
+// examples/chaos.json: NA owns every file, EU and AS1 each run users
+// open-loop PDM users around the clock, and the Atlantic link NA-EU fails
+// from faultAt for faultFor seconds of a runSec run on the named engine.
+func chaosPlatform(seed uint64, users, runSec float64, engine string) ([]byte, error) {
 	server := topology.ServerSpec{
 		CPU:     hardware.CPUSpec{Sockets: 2, Cores: 8, GHz: 2.5},
 		MemGB:   32,
@@ -99,7 +123,8 @@ func chaosDoc(seed uint64) ([]byte, error) {
 		Name:         "atlantic-partition",
 		Seed:         seed,
 		Step:         step,
-		Window:       &config.WindowSpec{RunSeconds: sweepRunSec},
+		Engine:       engine,
+		Window:       &config.WindowSpec{RunSeconds: runSec},
 		AccessMatrix: workload.AccessMatrix{},
 		Faults: []config.FaultSpec{{
 			Name: "atlantic", Kind: "wan", At: faultAt, Duration: faultFor,
@@ -122,7 +147,7 @@ func chaosDoc(seed uint64) ([]byte, error) {
 		}
 		infra.Clients[dc] = topology.ClientSpec{Slots: 32, NICGbps: 1, GHz: 2.5, DiskMBs: 120}
 		d.Workloads = append(d.Workloads, config.WorkloadSpec{
-			App: "PDM", DC: dc, Users: flat(20), OpsPerUserHour: 20,
+			App: "PDM", DC: dc, Users: flat(users), OpsPerUserHour: 20,
 		})
 	}
 	infra.WAN = []topology.WANSpec{

@@ -90,7 +90,7 @@ const maxLoop = 150 * time.Second
 const minReps = 3
 
 func main() {
-	name := flag.String("workload", "", "workload to run: peak, peak-sharded, daynight or sweep")
+	name := flag.String("workload", "", "workload to run: daynight, sweep or chaos-sharded (peak and peak-sharded are withheld)")
 	seed := flag.Uint64("seed", defaultSeed, "workload seed")
 	seconds := flag.Float64("seconds", 10, "host seconds to measure for")
 	trace := flag.Int("trace", 0, "1 runs traced and prints the per-layer metrics")
