@@ -139,7 +139,7 @@ func (d *IndexDaemon) launch(s *core.Simulation, now float64) {
 		Name:     "INDEXBUILD",
 		DC:       d.Master,
 		NumSteps: 1,
-		Expand:   func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+		Expand:   core.FixedPlans([]core.MessagePlan{plan}),
 		OnComplete: func(done, dur float64) {
 			d.running = false
 			d.nextLaunch = done + d.Gap

@@ -148,7 +148,7 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 		Name:     "SYNCHREP",
 		DC:       d.Master,
 		NumSteps: len(steps),
-		Expand:   func(step int) []core.MessagePlan { return steps[step] },
+		Expand:   core.FixedPlans(steps...),
 		OnComplete: func(now, dur float64) {
 			d.activeCount--
 			d.Durations.Add(now, dur)
@@ -224,17 +224,18 @@ type hop struct {
 
 // concatHops chains sequential messages into a single message plan: the
 // stage list of hop k+1 follows hop k, which is exactly the semantics of a
-// fixed request/transfer/ack sub-sequence inside a parallel branch.
+// fixed request/transfer/ack sub-sequence inside a parallel branch. The
+// plan is built once at launch and handed to the flow unchanged at every
+// expansion.
 func concatHops(inf *topology.Infrastructure, hops ...hop) (core.MessagePlan, error) {
-	var plan core.MessagePlan
+	var stages []core.Stage
 	for _, h := range hops {
-		p, err := inf.ExpandHop(h.from, h.to, h.cost)
-		if err != nil {
+		var err error
+		if stages, err = inf.AppendHop(stages, h.from, h.to, h.cost); err != nil {
 			return core.MessagePlan{}, fmt.Errorf("background: %w", err)
 		}
-		plan.Stages = append(plan.Stages, p.Stages...)
 	}
-	return plan, nil
+	return core.MessagePlan{Stages: stages}, nil
 }
 
 var _ core.Source = (*SyncDaemon)(nil)

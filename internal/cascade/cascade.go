@@ -265,10 +265,11 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 		// and eligible for stretched-span execution.
 		Local:    b.Local == b.Master,
 		NumSteps: len(steps),
-		Expand: func(step int) []core.MessagePlan {
-			msgs := steps[step]
-			plans := make([]core.MessagePlan, 0, len(msgs))
-			for _, m := range msgs {
+		// Every message of the step appends its stages into the flow's
+		// arena; each plan is its capacity-capped sub-slice, so a later
+		// message can never write over an earlier one.
+		Expand: func(step int, plans []core.MessagePlan, stages []core.Stage) ([]core.MessagePlan, []core.Stage) {
+			for _, m := range steps[step] {
 				from, err := binding.Resolve(m.From)
 				if err != nil {
 					panic(err)
@@ -277,13 +278,14 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 				if err != nil {
 					panic(err)
 				}
-				plan, err := binding.Inf.ExpandHop(from, to, m.Cost)
+				n := len(stages)
+				stages, err = binding.Inf.AppendHop(stages, from, to, m.Cost)
 				if err != nil {
 					panic(err)
 				}
-				plans = append(plans, plan)
+				plans = append(plans, core.MessagePlan{Stages: stages[n:len(stages):len(stages)]})
 			}
-			return plans
+			return plans, stages
 		},
 	}, nil
 }

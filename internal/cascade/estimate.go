@@ -3,6 +3,7 @@ package cascade
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -17,6 +18,7 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 		return 0, err
 	}
 	total := 0.0
+	var stages []core.Stage // one scratch arena, reused for every message
 	for _, msgs := range op.Steps {
 		slowest := 0.0
 		for _, m := range msgs {
@@ -28,11 +30,11 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			plan, err := b.Inf.ExpandHop(from, to, m.Cost)
+			stages, err = b.Inf.AppendHop(stages[:0], from, to, m.Cost)
 			if err != nil {
 				return 0, err
 			}
-			if d := topology.PlanDuration(plan, step); d > slowest {
+			if d := topology.PlanDuration(stages, step); d > slowest {
 				slowest = d
 			}
 		}

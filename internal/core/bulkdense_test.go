@@ -372,12 +372,10 @@ func TestBulkDirectTickMatchesLockStep(t *testing.T) {
 				d := 1 + sim.RNG().Float64()*20
 				sim.StartOp(OpRun{
 					Name: "MIX", DC: "NA", NumSteps: 2,
-					Expand: func(step int) []MessagePlan {
-						if step == 0 {
-							return []MessagePlan{{Stages: []Stage{{Queue: ag, Demand: d}}}}
-						}
-						return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 0.13}}}}
-					},
+					Expand: FixedPlans(
+						[]MessagePlan{{Stages: []Stage{{Queue: ag, Demand: d}}}},
+						[]MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 0.13}}}},
+					),
 				})
 			}
 		}))

@@ -155,9 +155,7 @@ func TestCalendarRekeysOnEnqueue(t *testing.T) {
 	enq := func(delay float64) {
 		s.StartOp(OpRun{
 			Name: "D", DC: "NA", NumSteps: 1,
-			Expand: func(int) []MessagePlan {
-				return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: delay}}}}
-			},
+			Expand: FixedPlans([]MessagePlan{{Stages: []Stage{{Queue: dl, Delay: delay}}}}),
 		})
 	}
 	// A long delay parks the line's calendar entry far in the future...

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,9 +31,7 @@ func singleStageOp(name, dc string, agent QueueAgent, demand float64) OpRun {
 		Name:     name,
 		DC:       dc,
 		NumSteps: 1,
-		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{{Queue: agent, Demand: demand}}}}
-		},
+		Expand:   FixedPlans([]MessagePlan{{Stages: []Stage{{Queue: agent, Demand: demand}}}}),
 	}
 }
 
@@ -106,15 +105,15 @@ func TestForkJoinStepWaitsForAllMessages(t *testing.T) {
 	var secondStepStarted float64 = -1
 	op := OpRun{
 		Name: "FJ", DC: "NA", NumSteps: 2,
-		Expand: func(step int) []MessagePlan {
+		Expand: func(step int, plans []MessagePlan, stages []Stage) ([]MessagePlan, []Stage) {
 			if step == 0 {
-				return []MessagePlan{
-					{Stages: []Stage{{Queue: fast, Demand: 10}}},  // 0.1s
-					{Stages: []Stage{{Queue: slow, Demand: 100}}}, // 10s
-				}
+				return append(plans,
+					MessagePlan{Stages: []Stage{{Queue: fast, Demand: 10}}},  // 0.1s
+					MessagePlan{Stages: []Stage{{Queue: slow, Demand: 100}}}, // 10s
+				), stages
 			}
 			secondStepStarted = s.Clock().NowSeconds()
-			return []MessagePlan{{Stages: []Stage{{Queue: fast, Demand: 1}}}}
+			return append(plans, MessagePlan{Stages: []Stage{{Queue: fast, Demand: 1}}}), stages
 		},
 	}
 	started := false
@@ -132,21 +131,31 @@ func TestForkJoinStepWaitsForAllMessages(t *testing.T) {
 	}
 }
 
+// recordingHolder logs every hold transition a stage makes.
+type recordingHolder struct{ events []string }
+
+func (h *recordingHolder) Acquire(b float64) { h.events = append(h.events, fmt.Sprint("acquire ", b)) }
+func (h *recordingHolder) Release(b float64) { h.events = append(h.events, fmt.Sprint("release ", b)) }
+
+// TestInstantStagesRunHooksInOrder pins the Stage.Hold contract: a stage
+// acquires when it starts and releases when it completes, instantaneous
+// (queue-less) stages do both in place, a zero count skips its call, and
+// the byte counts reach the Holder unchanged.
 func TestInstantStagesRunHooksInOrder(t *testing.T) {
 	s := NewSimulation(Config{Step: 0.01, Seed: 1})
 	cpu := newTestQueueAgent(s, "cpu", 1, 100)
-	var events []string
+	h := &recordingHolder{}
+	var served float64 = -1
 	op := OpRun{
 		Name: "HOOKS", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{
-				{Begin: func() { events = append(events, "acquire") }},
-				{Queue: cpu, Demand: 10,
-					Begin: func() { events = append(events, "work-begin") },
-					End:   func() { events = append(events, "work-end") }},
-				{End: func() { events = append(events, "release") }},
-			}}}
-		},
+		Expand: FixedPlans([]MessagePlan{{Stages: []Stage{
+			{Hold: h, Acquire: 1},
+			{Queue: cpu, Demand: 10, Hold: h, Acquire: 2.5, Release: 2.5},
+			{Hold: h},
+			{Hold: h, Release: 1},
+			{Hold: h, Acquire: 3, Release: 3},
+		}}}),
+		OnComplete: func(now, _ float64) { served = now },
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -158,14 +167,12 @@ func TestInstantStagesRunHooksInOrder(t *testing.T) {
 	if err := s.RunUntilIdle(5); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"acquire", "work-begin", "work-end", "release"}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v", events)
+	want := []string{"acquire 1", "acquire 2.5", "release 2.5", "release 1", "acquire 3", "release 3"}
+	if fmt.Sprint(h.events) != fmt.Sprint(want) {
+		t.Fatalf("events = %v, want %v", h.events, want)
 	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
-		}
+	if served < 0.1 {
+		t.Fatalf("op completed at %v, before the 0.1 s CPU stage could finish", served)
 	}
 }
 
@@ -198,9 +205,7 @@ func TestDelayLineHoldsExactDelay(t *testing.T) {
 	dl := NewDelayLine(s, "think")
 	op := OpRun{
 		Name: "THINK", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 1.5}}}}
-		},
+		Expand: FixedPlans([]MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 1.5}}}}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -225,9 +230,7 @@ func TestDelayLineOrdering(t *testing.T) {
 	mk := func(name string, d float64) OpRun {
 		return OpRun{
 			Name: name, DC: "NA", NumSteps: 1,
-			Expand: func(int) []MessagePlan {
-				return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: d}}}}
-			},
+			Expand:     FixedPlans([]MessagePlan{{Stages: []Stage{{Queue: dl, Delay: d}}}}),
 			OnComplete: func(now, dur float64) { order = append(order, name) },
 		}
 	}
@@ -255,12 +258,10 @@ func TestTimestampConsistencyAcrossStages(t *testing.T) {
 	b := newTestQueueAgent(s, "b", 1, 1e9)
 	op := OpRun{
 		Name: "2STAGE", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{
-				{Queue: a, Demand: 1},
-				{Queue: b, Demand: 1},
-			}}}
-		},
+		Expand: FixedPlans([]MessagePlan{{Stages: []Stage{
+			{Queue: a, Demand: 1},
+			{Queue: b, Demand: 1},
+		}}}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -500,9 +501,7 @@ func fastForwardFixture(noFF bool) *Simulation {
 		s.AddSource(&timedSource{at: at, launch: func(s *Simulation) {
 			s.StartOp(OpRun{
 				Name: "THINK", DC: "NA", NumSteps: 1,
-				Expand: func(int) []MessagePlan {
-					return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 7.301}}}}
-				},
+				Expand: FixedPlans([]MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 7.301}}}}),
 			})
 		}})
 	}

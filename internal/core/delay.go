@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/queueing"
@@ -37,16 +36,15 @@ func (d *DelayLine) Enqueue(t *queueing.Task) {
 	d.Sync()
 	d.MarkDirty()
 	d.seq++
-	heap.Push(&d.heap, delayEntry{expiry: d.now + t.Delay, seq: d.seq, task: t})
+	d.heap.push(delayEntry{expiry: d.now + t.Delay, seq: d.seq, task: t})
 }
 
 // Step advances local time and buffers expired tasks in expiry order (ties
 // broken by admission order for determinism).
 func (d *DelayLine) Step(dt float64) {
 	d.now += dt
-	for d.heap.Len() > 0 && d.heap[0].expiry <= d.now+1e-12 {
-		e := heap.Pop(&d.heap).(delayEntry)
-		d.BufferDone(e.task)
+	for len(d.heap) > 0 && d.heap[0].expiry <= d.now+1e-12 {
+		d.BufferDone(d.heap.pop().task)
 	}
 }
 
@@ -55,7 +53,7 @@ func (d *DelayLine) Step(dt float64) {
 // large addition would shift them by ulps — but when no expiry can fall in
 // the window the per-tick heap inspection is elided.
 func (d *DelayLine) StepN(n int, dt float64) {
-	if d.heap.Len() == 0 || d.heap[0].expiry-d.now > float64(n)*dt+1e-7 {
+	if len(d.heap) == 0 || d.heap[0].expiry-d.now > float64(n)*dt+1e-7 {
 		now := d.now
 		for i := 0; i < n; i++ {
 			now += dt
@@ -69,13 +67,13 @@ func (d *DelayLine) StepN(n int, dt float64) {
 }
 
 // Idle reports whether no tasks are waiting.
-func (d *DelayLine) Idle() bool { return d.heap.Len() == 0 }
+func (d *DelayLine) Idle() bool { return len(d.heap) == 0 }
 
 // Horizon returns the time until the earliest held task expires, measured
 // against the line's local clock — which is exactly the simulated time the
 // line will accumulate across a fast-forward replay — or +Inf when empty.
 func (d *DelayLine) Horizon() float64 {
-	if d.heap.Len() == 0 {
+	if len(d.heap) == 0 {
 		return math.Inf(1)
 	}
 	return d.heap[0].expiry - d.now
@@ -87,21 +85,54 @@ type delayEntry struct {
 	task   *queueing.Task
 }
 
+// before is the heap order: earlier expiry first, admission order on ties.
+// The order is total (seq is unique), so any correct heap pops entries in
+// the same sequence.
+func (e delayEntry) before(o delayEntry) bool {
+	if e.expiry != o.expiry {
+		return e.expiry < o.expiry
+	}
+	return e.seq < o.seq
+}
+
+// delayHeap is a binary min-heap of delay entries, typed so that pushes and
+// pops move values instead of boxing each entry into an interface.
 type delayHeap []delayEntry
 
-func (h delayHeap) Len() int { return len(h) }
-func (h delayHeap) Less(i, j int) bool {
-	if h[i].expiry != h[j].expiry {
-		return h[i].expiry < h[j].expiry
+func (h *delayHeap) push(e delayEntry) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)   { *h = append(*h, x.(delayEntry)) }
-func (h *delayHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *delayHeap) pop() delayEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = delayEntry{} // drop the task reference
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].before(q[m]) {
+			m = r
+		}
+		if !q[m].before(q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }

@@ -7,27 +7,41 @@ import (
 	"repro/internal/simtime"
 )
 
+// Holder is a capacity that a stage occupies while it runs: a server's
+// memory holding a message's working set (§3.4.2, Fig. 3-5).
+// *hardware.Memory satisfies it.
+type Holder interface {
+	Acquire(bytes float64)
+	Release(bytes float64)
+}
+
 // Stage is one hop of a message through the infrastructure: a piece of work
 // performed by a single hardware agent (NIC transmit, link transit, CPU
 // service, storage access) or a pure delay (client-side think/render time).
 // Stages are produced by the topology router when it expands a cascade
 // message into the agents along the route (§3.3.2).
+//
+// A stage is plain data — no closures — so a flow can expand every step
+// into its own reusable stage arena without allocating.
 type Stage struct {
 	// Queue is the agent that serves this stage. A nil Queue makes the
-	// stage instantaneous: its hooks run and the token advances within the
-	// same interaction phase.
+	// stage instantaneous: its holds apply and the token advances within
+	// the same interaction phase.
 	Queue QueueAgent
 	// Demand is the work amount in the target agent's units (cycles for
 	// CPUs, bits for network elements, bytes for storage).
 	Demand float64
 	// Delay is a fixed latency in seconds, used by delay-line stages.
 	Delay float64
-	// Begin runs when the stage starts (sequential phase). Used to acquire
-	// memory occupancy at a server.
-	Begin func()
-	// End runs when the stage completes (sequential phase). Used to
-	// release memory occupancy.
-	End func()
+	// Hold, when non-nil, is occupied across a run of stages: the stage
+	// that starts the run calls Hold.Acquire(Acquire) when it starts, the
+	// stage that ends it calls Hold.Release(Release) when it completes
+	// (both in the sequential phase, or on the owning lane inside a
+	// stretched span). A zero count skips its call, so one stage may
+	// acquire, release, or both.
+	Hold    Holder
+	Acquire float64
+	Release float64
 }
 
 // MessagePlan is a fully-expanded message of a cascade: the ordered stages
@@ -56,9 +70,15 @@ type OpRun struct {
 	Gauge Gauge
 	// NumSteps is the number of sequential steps in the cascade.
 	NumSteps int
-	// Expand returns the parallel messages of the given step (0-based).
-	// An empty result completes the step immediately.
-	Expand func(step int) []MessagePlan
+	// Expand appends the parallel messages of the given step (0-based) to
+	// plans and returns the extended slice. Stages it builds go into the
+	// stages arena it is handed — each plan a capacity-capped sub-slice of
+	// it — and the extended arena is returned too. Both buffers belong to
+	// the flow and are reset to length zero before every step, so the
+	// plans of one step must not be retained past it; prebuilt plans may
+	// be appended unchanged. An empty result completes the step
+	// immediately.
+	Expand func(step int, plans []MessagePlan, stages []Stage) ([]MessagePlan, []Stage)
 	// OnComplete, when non-nil, runs in the sequential phase after the
 	// operation finishes. now and dur are simulated seconds.
 	OnComplete func(now, dur float64)
@@ -74,6 +94,15 @@ type OpRun struct {
 	Local bool
 }
 
+// FixedPlans returns an OpRun.Expand for a cascade whose messages are built
+// in advance: step i appends steps[i] unchanged. The plans are shared by
+// every expansion, so their stages must not change once the op runs.
+func FixedPlans(steps ...[]MessagePlan) func(int, []MessagePlan, []Stage) ([]MessagePlan, []Stage) {
+	return func(step int, plans []MessagePlan, stages []Stage) ([]MessagePlan, []Stage) {
+		return append(plans, steps[step]...), stages
+	}
+}
+
 // Flow is an in-flight operation instance. global marks it cross-capable:
 // a non-Local cascade (its messages may hop shards) or one carrying an
 // OnComplete callback (a sequential-phase control transfer). Global flows
@@ -81,6 +110,12 @@ type OpRun struct {
 // their control points — step expansion, chain completion, the callback —
 // run only in sequential phases; the span scheduler bounds every span so
 // none of those can fire inside one.
+//
+// plans and stages are the flow's expansion buffers: OpRun.Expand appends
+// each step's messages and their stages into them, and advanceFlow resets
+// both to length zero before the next step — by then every token of the
+// previous step has finished, so nothing references them. Flows are
+// pooled with their buffers, so a warm flow expands without allocating.
 type Flow struct {
 	id          uint64
 	op          OpRun
@@ -88,13 +123,15 @@ type Flow struct {
 	outstanding int
 	start       float64
 	global      bool
+
+	plans  []MessagePlan
+	stages []Stage
 }
 
 // token is one in-flight message of a flow traversing its stages. The
 // embedded task is reused across stages to avoid per-stage allocation, and
-// finished tokens return to a simulation-owned free list — message launch
-// is the hottest allocation site of busy hours. Tokens are only created
-// and retired in sequential phases, so the pool needs no locking.
+// finished tokens return to a free list — message launch is the hottest
+// allocation site of busy hours.
 //
 // The trailing fields exist for cross-capable (Flow.global) tokens under
 // the sharded runtime: global marks the token registered in
@@ -120,12 +157,24 @@ type token struct {
 	parked    simtime.Tick
 }
 
+// msgPools holds the recycled flows and tokens of one execution context:
+// the Simulation's for sequential phases, each laneState's for its
+// stretched spans. A context only ever touches its own pools, so they need
+// no locking; an object may be taken from one context's pool and returned
+// to another's (a flow launched in a span and completed after it), which
+// is safe because the object is not referenced anywhere while it sits in a
+// pool.
+type msgPools struct {
+	toks  []*token
+	flows []*Flow
+}
+
 // newToken pops a pooled token or allocates a fresh one.
-func (s *Simulation) newToken() *token {
-	if n := len(s.tokenPool); n > 0 {
-		tok := s.tokenPool[n-1]
-		s.tokenPool[n-1] = nil
-		s.tokenPool = s.tokenPool[:n-1]
+func (p *msgPools) newToken() *token {
+	if n := len(p.toks); n > 0 {
+		tok := p.toks[n-1]
+		p.toks[n-1] = nil
+		p.toks = p.toks[:n-1]
 		return tok
 	}
 	return &token{}
@@ -134,9 +183,29 @@ func (s *Simulation) newToken() *token {
 // freeToken resets a finished token and returns it to the pool. The caller
 // guarantees no queue holds the embedded task anymore — a token only
 // finishes when its final stage's completion has been drained.
-func (s *Simulation) freeToken(tok *token) {
+func (p *msgPools) freeToken(tok *token) {
 	*tok = token{}
-	s.tokenPool = append(s.tokenPool, tok)
+	p.toks = append(p.toks, tok)
+}
+
+// newFlow pops a pooled flow (its expansion buffers empty but with their
+// capacity) or allocates a fresh one.
+func (p *msgPools) newFlow() *Flow {
+	if n := len(p.flows); n > 0 {
+		f := p.flows[n-1]
+		p.flows[n-1] = nil
+		p.flows = p.flows[:n-1]
+		return f
+	}
+	return &Flow{}
+}
+
+// freeFlow resets a completed flow, keeping its expansion buffers, and
+// returns it to the pool. The caller guarantees the flow has no live token
+// and that its OnComplete callback has returned.
+func (p *msgPools) freeFlow(f *Flow) {
+	*f = Flow{plans: f.plans[:0], stages: f.stages[:0]}
+	p.flows = append(p.flows, f)
 }
 
 // flowLane resolves the lane executing flows of the given data center
@@ -158,8 +227,9 @@ func (s *Simulation) flowLane(dc string) *laneState {
 
 // startOp validates and launches an operation instance. It is called by
 // Simulation.StartOp in the sequential phase, or — for Local operations —
-// from a shard lane inside a stretched span.
-func (s *Simulation) startOp(op OpRun) *Flow {
+// from a shard lane inside a stretched span. It returns nothing: the flow
+// goes back to a pool when it completes, so no caller may keep it.
+func (s *Simulation) startOp(op OpRun) {
 	if op.NumSteps <= 0 || op.Expand == nil {
 		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expand function", op.Name))
 	}
@@ -177,17 +247,19 @@ func (s *Simulation) startOp(op OpRun) *Flow {
 				op.Name, op.GaugeKey))
 		}
 		ln.nextFlowID++
-		f := &Flow{id: ln.nextFlowID, op: op, step: -1, start: s.clock.SecondsAt(ln.tick)}
+		f := ln.pools.newFlow()
+		f.id, f.op, f.step, f.start = ln.nextFlowID, op, -1, s.clock.SecondsAt(ln.tick)
 		ln.flowDelta++
 		s.AddGaugeBy(op.Gauge, 1)
 		s.advanceFlow(f)
-		return f
+		return
 	}
 	if op.Gauge == 0 && op.GaugeKey != "" {
 		op.Gauge = s.GaugeHandle(op.GaugeKey)
 	}
 	s.nextFlowID++
-	f := &Flow{id: s.nextFlowID, op: op, step: -1, start: s.clock.NowSeconds()}
+	f := s.pools.newFlow()
+	f.id, f.op, f.step, f.start = s.nextFlowID, op, -1, s.clock.NowSeconds()
 	f.global = !op.Local || op.OnComplete != nil
 	s.activeFlows++
 	if f.global {
@@ -195,7 +267,6 @@ func (s *Simulation) startOp(op OpRun) *Flow {
 	}
 	s.AddGaugeBy(op.Gauge, 1)
 	s.advanceFlow(f)
-	return f
 }
 
 // advanceFlow moves the flow to its next step, launching the step's message
@@ -223,7 +294,10 @@ func (s *Simulation) advanceFlow(f *Flow) {
 			s.completeFlow(f)
 			return
 		}
-		plans := f.op.Expand(f.step)
+		// Every token of the previous step has finished, so the buffers
+		// are free to refill.
+		f.plans, f.stages = f.op.Expand(f.step, f.plans[:0], f.stages[:0])
+		plans := f.plans
 		if len(plans) == 0 {
 			continue
 		}
@@ -231,11 +305,11 @@ func (s *Simulation) advanceFlow(f *Flow) {
 		for _, plan := range plans {
 			var tok *token
 			if ln != nil {
-				tok = ln.newToken()
+				tok = ln.pools.newToken()
 				ln.nextTaskID++
 				tok.task.ID = ln.nextTaskID
 			} else {
-				tok = s.newToken()
+				tok = s.pools.newToken()
 				s.nextTaskID++
 				tok.task.ID = s.nextTaskID
 			}
@@ -260,8 +334,8 @@ func (s *Simulation) advanceFlow(f *Flow) {
 func (s *Simulation) startStage(tok *token) {
 	for tok.idx < len(tok.stages) {
 		st := &tok.stages[tok.idx]
-		if st.Begin != nil {
-			st.Begin()
+		if st.Hold != nil && st.Acquire != 0 {
+			st.Hold.Acquire(st.Acquire)
 		}
 		if st.Queue != nil {
 			tok.task.Demand = st.Demand
@@ -315,9 +389,9 @@ func (s *Simulation) startStage(tok *token) {
 			}
 			return
 		}
-		// Instantaneous stage: run End and fall through to the next.
-		if st.End != nil {
-			st.End()
+		// Instantaneous stage: release and fall through to the next.
+		if st.Hold != nil && st.Release != 0 {
+			st.Hold.Release(st.Release)
 		}
 		tok.idx++
 	}
@@ -331,8 +405,8 @@ func (s *Simulation) onTaskDone(t *queueing.Task) {
 		panic("core: completed task without token payload")
 	}
 	st := &tok.stages[tok.idx]
-	if st.End != nil {
-		st.End()
+	if st.Hold != nil && st.Release != 0 {
+		st.Hold.Release(st.Release)
 	}
 	tok.idx++
 	s.startStage(tok)
@@ -356,11 +430,11 @@ func (s *Simulation) tokenDone(tok *token) {
 			s.crossToks[last] = nil
 			s.crossToks = s.crossToks[:last]
 		}
-		s.freeToken(tok)
+		s.pools.freeToken(tok)
 	} else if ln := s.flowLane(f.op.DC); ln != nil {
-		ln.freeToken(tok)
+		ln.pools.freeToken(tok)
 	} else {
-		s.freeToken(tok)
+		s.pools.freeToken(tok)
 	}
 	f.outstanding--
 	if f.outstanding < 0 {
@@ -371,7 +445,8 @@ func (s *Simulation) tokenDone(tok *token) {
 	}
 }
 
-// completeFlow records the response time and runs completion callbacks.
+// completeFlow records the response time, runs the completion callback
+// and recycles the flow.
 // Inside a stretched span the completion books onto the lane (its own
 // response buffer, its own counters, the lane's local tick for the
 // completion instant); the counters merge into the simulation at the span
@@ -388,6 +463,7 @@ func (s *Simulation) completeFlow(f *Flow) {
 				ln.resp.Record(f.op.Name, f.op.DC, now, dur)
 			}
 			ln.completed++
+			ln.pools.freeFlow(f)
 			return
 		}
 	}
@@ -407,6 +483,9 @@ func (s *Simulation) completeFlow(f *Flow) {
 	}
 	s.completedOps++
 	if f.op.OnComplete != nil {
+		// A follow-on launch inside the callback takes a different flow:
+		// this one returns to the pool only afterwards.
 		f.op.OnComplete(now, dur)
 	}
+	s.pools.freeFlow(f)
 }

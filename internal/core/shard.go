@@ -326,8 +326,8 @@ func (st *shardState) postInbox(s *Simulation, q QueueAgent, tok *token) {
 	if !ok {
 		panic(fmt.Sprintf("core: mid-span cross-shard hand-off to %T, want a latencied transit link", q))
 	}
-	if sg := &tok.stages[tok.idx]; sg.Begin != nil || sg.End != nil {
-		panic(fmt.Sprintf("core: cross-shard stage on %s carries Begin/End hooks — those run on the wrong lane mid-span", q.Base().Name()))
+	if sg := &tok.stages[tok.idx]; sg.Hold != nil {
+		panic(fmt.Sprintf("core: cross-shard stage on %s carries a Hold — it would be acquired or released on the wrong lane mid-span", q.Base().Name()))
 	}
 	lat := lq.Latency()
 	post := ln.tick
@@ -533,31 +533,14 @@ type laneState struct {
 	skipped   uint64
 	windows   uint64
 
-	// Lane-local flow machinery: response buffer, token pool and ID
-	// counters, so in-span launches never touch the shared ones.
+	// Lane-local flow machinery: response buffer, flow and token pools and
+	// ID counters, so in-span launches never touch the shared ones.
 	resp       *metrics.Responses
-	tokenPool  []*token
+	pools      msgPools
 	nextFlowID uint64
 	nextTaskID uint64
 
 	_ [64]byte
-}
-
-// newToken / freeToken are the lane-local forms of the Simulation token
-// pool (flow.go): spans recycle message tokens per lane.
-func (ln *laneState) newToken() *token {
-	if n := len(ln.tokenPool); n > 0 {
-		tok := ln.tokenPool[n-1]
-		ln.tokenPool[n-1] = nil
-		ln.tokenPool = ln.tokenPool[:n-1]
-		return tok
-	}
-	return &token{}
-}
-
-func (ln *laneState) freeToken(tok *token) {
-	*tok = token{}
-	ln.tokenPool = append(ln.tokenPool, tok)
 }
 
 // trySpan decides whether the next window can instead run as a stretched

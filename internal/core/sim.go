@@ -244,7 +244,7 @@ type Simulation struct {
 
 	gaugeIdx  map[string]Gauge
 	gaugeVals []float64
-	tokenPool []*token // finished message tokens, reused by advanceFlow
+	pools     msgPools // recycled flows and tokens of sequential phases
 
 	nextFlowID   uint64
 	nextTaskID   uint64

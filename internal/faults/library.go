@@ -274,7 +274,7 @@ func (f *Storage) RebuildStep(tg Target, seq int) {
 		Name:     "REBUILD",
 		DC:       f.DC,
 		NumSteps: 1,
-		Expand:   func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+		Expand:   core.FixedPlans([]core.MessagePlan{plan}),
 		Silent:   true,
 	})
 }

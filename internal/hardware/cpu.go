@@ -50,6 +50,7 @@ type CPU struct {
 	spec    CPUSpec
 	sockets []*queueing.FCFS
 	rr      int
+	done    queueing.DoneFunc // c.BufferDone, bound once (see stepBulk)
 
 	derate  float64 // fault brown-out factor in (0, 1]; 1 = healthy
 	reserve float64 // fluid-tier reserved capacity fraction in [0, 1)
@@ -64,6 +65,7 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 		spec.HTFactor = 1
 	}
 	c := &CPU{spec: spec, derate: 1}
+	c.done = c.BufferDone
 	rate := spec.GHz * 1e9 * spec.HTFactor // cycles per second per core
 	for i := 0; i < spec.Sockets; i++ {
 		q := queueing.NewFCFS(spec.Cores, rate)
@@ -143,7 +145,7 @@ func (c *CPU) Enqueue(t *queueing.Task) {
 // Step advances every socket queue.
 func (c *CPU) Step(dt float64) {
 	for _, s := range c.sockets {
-		s.Step(dt, c.BufferDone)
+		s.Step(dt, c.done)
 	}
 }
 

@@ -475,3 +475,107 @@ func takeBusy(a core.Agent) float64 {
 	}
 	return 0
 }
+
+// TestStorageSlabReuse drives overlapping waves of requests through a RAID
+// and a SAN at array hit rates 0, 0.5 and 1, so ingress slabs and fork
+// records are recycled across requests of different sizes. Every parent
+// must complete exactly once, as itself, no earlier than its own demand
+// allows, and with its own demand untouched; every recycled record must
+// sit in its free list wiped of the request it served.
+func TestStorageSlabReuse(t *testing.T) {
+	const (
+		disks = 4
+		dt    = 0.01
+		waves = 4
+		wave  = 9
+	)
+	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0}
+	for _, hit := range []float64{0, 0.5, 1} {
+		for _, kind := range []string{"raid", "san"} {
+			s := core.NewSimulation(core.Config{Seed: 3})
+			var ag core.QueueAgent
+			var arr *diskArray
+			var ingress float64 // ingress bytes/s: the bound on any completion
+			if kind == "raid" {
+				r := NewRAID(s, "raid", RAIDSpec{Disks: disks, Disk: disk, CtrlGbps: 4, HitRate: hit})
+				ag, arr, ingress = r, r.array, 4e9/8
+			} else {
+				n := NewSAN(s, "san", SANSpec{Disks: disks, Disk: disk,
+					FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: hit})
+				ag, arr, ingress = n, n.array, 4e9/8
+			}
+			parents := make([]queueing.Task, waves*wave)
+			enqueued := make([]float64, len(parents))
+			done := map[*queueing.Task]int{}
+			now, next, peak := 0.0, 0, 0
+			for step := 0; step < 100000 && (next < len(parents) || !ag.Idle()); step++ {
+				// A new wave lands every 40 ticks, on top of whatever is
+				// still in flight.
+				if step%40 == 0 && next < len(parents) {
+					for i := 0; i < wave; i++ {
+						p := &parents[next]
+						*p = queueing.Task{ID: uint64(next + 1), Demand: float64(1+next%5) * 4e6}
+						enqueued[next] = now
+						ag.Enqueue(p)
+						next++
+					}
+				}
+				if f := next - len(done); f > peak {
+					peak = f
+				}
+				ag.Step(dt)
+				now += dt
+				ag.Drain(func(task *queueing.Task) {
+					done[task]++
+					i := int(task.ID) - 1
+					if i < 0 || i >= len(parents) || task != &parents[i] {
+						t.Fatalf("%s hit %v: completed foreign task %p (ID %d)", kind, hit, task, task.ID)
+					}
+					want := float64(1+i%5) * 4e6
+					if task.Demand != want {
+						t.Errorf("%s hit %v: parent %d demand %v, want %v", kind, hit, task.ID, task.Demand, want)
+					}
+					// Handoffs inside a tick let stages overlap, so the
+					// bound is the slowest single stage: the ingress queue,
+					// or on a forced miss a stripe on its drive.
+					lower := want / ingress
+					if hit == 0 {
+						lower = math.Max(lower, want/disks/(disk.MBps*1e6))
+					}
+					if el := now - enqueued[i]; el < lower*(1-1e-9) {
+						t.Errorf("%s hit %v: parent %d done after %.3fs, below its %.3fs bound", kind, hit, task.ID, el, lower)
+					}
+				})
+			}
+			if next != len(parents) || !ag.Idle() {
+				t.Fatalf("%s hit %v: run did not drain", kind, hit)
+			}
+			for i := range parents {
+				if n := done[&parents[i]]; n != 1 {
+					t.Errorf("%s hit %v: parent %d completed %d times", kind, hit, i+1, n)
+				}
+			}
+			if len(arr.exts) == 0 || len(arr.exts) > peak {
+				t.Errorf("%s hit %v: %d ingress slabs pooled for %d requests at most %d in flight",
+					kind, hit, len(arr.exts), len(parents), peak)
+			}
+			for _, e := range arr.exts {
+				if *e != (extSlab{}) {
+					t.Errorf("%s hit %v: pooled ingress slab carries %+v", kind, hit, *e)
+				}
+			}
+			if hit == 1 && len(arr.joins) != 0 {
+				t.Errorf("%s: %d fork records at array hit rate 1", kind, len(arr.joins))
+			}
+			if hit < 1 && (len(arr.joins) == 0 || len(arr.joins) > peak) {
+				t.Errorf("%s hit %v: %d fork records pooled, at most %d requests in flight", kind, hit, len(arr.joins), peak)
+			}
+			for _, fj := range arr.joins {
+				if fj.parent != nil || fj.pending != 0 || len(fj.stripes) != disks {
+					t.Errorf("%s hit %v: pooled fork record holds parent %v, pending %d, %d stripes",
+						kind, hit, fj.parent, fj.pending, len(fj.stripes))
+				}
+			}
+		}
+	}
+}

@@ -56,49 +56,57 @@ func newDiskUnit(s DiskSpec) *diskUnit {
 
 func (d *diskUnit) idle() bool { return d.dcc.Idle() && d.hdd.Idle() }
 
-// extReq tracks an external storage request through the array's internal
-// pipeline, preserving its original byte demand for forking.
-type extReq struct {
+// extSlab carries an admitted external request through the array's
+// ingress pipeline: the internal task it travels as, the parent task to
+// complete, and the parent's original byte demand (the internal task's
+// Demand is consumed by each queue it crosses).
+type extSlab struct {
+	task   queueing.Task
 	parent *queueing.Task
 	demand float64
 }
 
-// forkJoin joins the stripes of one forked request.
+// forkJoin joins the stripes of one forked request. Its stripes slab holds
+// one task and tracking record per disk contiguously, so a fork hands out
+// pointers into it instead of allocating per stripe.
 type forkJoin struct {
 	parent  *queueing.Task
 	pending int
+	stripes []stripeSlab
 }
 
-// stripeReq tracks one stripe of a forked request through its disk.
-type stripeReq struct {
+// stripeSlab is one stripe of a forked request: its task and the record
+// routing it through its disk.
+type stripeSlab struct {
+	task   queueing.Task
 	fj     *forkJoin
 	stripe float64 // stripe byte demand
 	disk   int     // owning disk index
 }
 
-// stripeSlab carries one stripe's task and tracking record contiguously:
-// fork hands out pointers into a single per-request slab, so an n-way fork
-// costs two allocations (slab + join) instead of 2n+1 — the dominant
-// allocation site of storage-heavy sweeps.
-type stripeSlab struct {
-	task queueing.Task
-	sr   stripeReq
-}
-
-// extSlab carries an admitted request's internal task and tracking record
-// in one allocation (the ingress analogue of stripeSlab).
-type extSlab struct {
-	task queueing.Task
-	ext  extReq
-}
-
 // diskArray implements the shared mechanics of RAID and SAN: an n-way
 // fork-join of disk pipelines plus the cache-hit routing around them.
+//
+// It also recycles the owning agent's per-request records. exts holds
+// free ingress slabs: admit takes one in Enqueue, and it comes back on an
+// array-cache hit or at fork time, once the parent has moved into the
+// join record. joins holds free fork records, each with its stripe slab:
+// fork takes one, and join returns it when the last stripe completes — by
+// then every stripe task has left its disk queue. Both lists belong to the
+// one agent: Enqueue runs in its shard's sequential or mailbox phase, Step
+// in its parallel phase, never concurrently, so they need no locks.
 type diskArray struct {
 	disks    []*diskUnit
 	diskSpec DiskSpec
 	rng      *rand.Rand
 	buffer   func(*queueing.Task) // parent-agent completion buffer
+
+	// Disk-queue completion callbacks, bound once: a method value passed
+	// per Step call would allocate a closure each time.
+	ctrlDone, driveDone queueing.DoneFunc
+
+	exts  []*extSlab
+	joins []*forkJoin
 }
 
 func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)) *diskArray {
@@ -107,21 +115,64 @@ func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)
 		rng:      rand.New(rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
 		buffer:   buffer,
 	}
+	a.ctrlDone, a.driveDone = a.onDiskCtrlDone, a.onDriveDone
 	for i := 0; i < n; i++ {
 		a.disks = append(a.disks, newDiskUnit(spec))
 	}
 	return a
 }
 
+// admit wraps an external request in a recycled ingress slab and returns
+// the internal task that travels the array's ingress queues.
+func (a *diskArray) admit(parent *queueing.Task) *queueing.Task {
+	var e *extSlab
+	if n := len(a.exts); n > 0 {
+		e = a.exts[n-1]
+		a.exts[n-1] = nil
+		a.exts = a.exts[:n-1]
+	} else {
+		e = new(extSlab)
+	}
+	*e = extSlab{
+		task:   queueing.Task{ID: parent.ID, Demand: parent.Demand, Payload: e},
+		parent: parent,
+		demand: parent.Demand,
+	}
+	return &e.task
+}
+
+// releaseExt returns an ingress slab whose task has left its last queue.
+func (a *diskArray) releaseExt(e *extSlab) {
+	*e = extSlab{}
+	a.exts = append(a.exts, e)
+}
+
+// hit completes a request on an array-cache hit, bypassing the fork-join.
+func (a *diskArray) hit(e *extSlab) {
+	parent := e.parent
+	a.releaseExt(e)
+	a.buffer(parent)
+}
+
 // fork splits the external request across all disks with striped demand.
-func (a *diskArray) fork(ext *extReq) {
-	stripe := ext.demand / float64(len(a.disks))
-	slab := make([]stripeSlab, len(a.disks))
-	fj := &forkJoin{parent: ext.parent, pending: len(a.disks)}
+func (a *diskArray) fork(e *extSlab) {
+	var fj *forkJoin
+	if n := len(a.joins); n > 0 {
+		fj = a.joins[n-1]
+		a.joins[n-1] = nil
+		a.joins = a.joins[:n-1]
+	} else {
+		fj = &forkJoin{stripes: make([]stripeSlab, len(a.disks))}
+	}
+	fj.parent, fj.pending = e.parent, len(a.disks)
+	stripe := e.demand / float64(len(a.disks))
+	a.releaseExt(e)
 	for i, d := range a.disks {
-		s := &slab[i]
-		s.sr = stripeReq{fj: fj, stripe: stripe, disk: i}
-		s.task = queueing.Task{ID: ext.parent.ID, Demand: stripe, Payload: &s.sr}
+		s := &fj.stripes[i]
+		*s = stripeSlab{
+			task: queueing.Task{ID: fj.parent.ID, Demand: stripe, Payload: s},
+			fj:   fj, stripe: stripe, disk: i,
+		}
 		d.dcc.Enqueue(&s.task)
 	}
 }
@@ -135,32 +186,37 @@ func (a *diskArray) fork(ext *extReq) {
 func (a *diskArray) step(dt float64) {
 	for _, d := range a.disks {
 		if !d.dcc.Idle() {
-			d.dcc.Step(dt, a.onDiskCtrlDone)
+			d.dcc.Step(dt, a.ctrlDone)
 		}
 		if !d.hdd.Idle() {
-			d.hdd.Step(dt, a.onDriveDone)
+			d.hdd.Step(dt, a.driveDone)
 		}
 	}
 }
 
 func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
-	sr := t.Payload.(*stripeReq)
+	s := t.Payload.(*stripeSlab)
 	if a.rng.Float64() < a.diskSpec.HitRate {
-		a.join(sr)
+		a.join(s.fj)
 		return
 	}
-	t.Demand = sr.stripe
-	a.disks[sr.disk].hdd.Enqueue(t)
+	t.Demand = s.stripe
+	a.disks[s.disk].hdd.Enqueue(t)
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
-	a.join(t.Payload.(*stripeReq))
+	a.join(t.Payload.(*stripeSlab).fj)
 }
 
-func (a *diskArray) join(sr *stripeReq) {
-	sr.fj.pending--
-	if sr.fj.pending == 0 {
-		a.buffer(sr.fj.parent)
+// join counts one finished stripe; the last one completes the parent and
+// recycles the fork record.
+func (a *diskArray) join(fj *forkJoin) {
+	fj.pending--
+	if fj.pending == 0 {
+		parent := fj.parent
+		fj.parent = nil
+		a.joins = append(a.joins, fj)
+		a.buffer(parent)
 	}
 }
 
@@ -267,6 +323,8 @@ type RAID struct {
 	array    *diskArray
 	rng      *rand.Rand
 	inflight int // external requests admitted and not yet completed
+
+	ctrlDone queueing.DoneFunc // r.onCtrlDone, bound once
 }
 
 // NewRAID creates and registers a RAID agent.
@@ -285,6 +343,7 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 	// inside the parallel Step phase) forward the invalidation.
 	r.dacc.SetNotify(r.MarkDirty)
 	r.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagRAIDArray), r.complete)
+	r.ctrlDone = r.onCtrlDone
 	r.InitAgent(id, name)
 	sim.AddAgent(r)
 	return r
@@ -299,10 +358,7 @@ func (r *RAID) Spec() RAIDSpec { return r.spec }
 func (r *RAID) Enqueue(t *queueing.Task) {
 	r.Sync()
 	r.inflight++
-	e := new(extSlab)
-	e.ext = extReq{parent: t, demand: t.Demand}
-	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: &e.ext}
-	r.dacc.Enqueue(&e.task)
+	r.dacc.Enqueue(r.array.admit(t))
 }
 
 // complete buffers a finished external request.
@@ -320,7 +376,7 @@ func (r *RAID) Step(dt float64) {
 		return
 	}
 	if !r.dacc.Idle() {
-		r.dacc.Step(dt, r.onCtrlDone)
+		r.dacc.Step(dt, r.ctrlDone)
 	}
 	r.array.step(dt)
 }
@@ -345,12 +401,12 @@ func (r *RAID) StepN(n int, dt float64) {
 }
 
 func (r *RAID) onCtrlDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
+	e := t.Payload.(*extSlab)
 	if r.rng.Float64() < r.spec.HitRate {
-		r.complete(ext.parent) // array-cache hit bypasses the fork-join
+		r.array.hit(e) // array-cache hit bypasses the fork-join
 		return
 	}
-	r.array.fork(ext)
+	r.array.fork(e)
 }
 
 // Idle reports whether the whole array is empty.
@@ -425,6 +481,9 @@ type SAN struct {
 	array    *diskArray
 	rng      *rand.Rand
 	inflight int // external requests admitted and not yet completed
+
+	// Stage completion callbacks, bound once.
+	fcswDone, ctrlDone, loopDone queueing.DoneFunc
 }
 
 // NewSAN creates and registers a SAN agent.
@@ -445,6 +504,7 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 	// phase and must not carry the hook.
 	s.fcsw.SetNotify(s.MarkDirty)
 	s.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagSANArray), s.complete)
+	s.fcswDone, s.ctrlDone, s.loopDone = s.onFCSwitchDone, s.onCtrlDone, s.onLoopDone
 	s.InitAgent(id, name)
 	sim.AddAgent(s)
 	return s
@@ -459,10 +519,7 @@ func (s *SAN) Spec() SANSpec { return s.spec }
 func (s *SAN) Enqueue(t *queueing.Task) {
 	s.Sync()
 	s.inflight++
-	e := new(extSlab)
-	e.ext = extReq{parent: t, demand: t.Demand}
-	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: &e.ext}
-	s.fcsw.Enqueue(&e.task)
+	s.fcsw.Enqueue(s.array.admit(t))
 }
 
 // complete buffers a finished external request.
@@ -480,13 +537,13 @@ func (s *SAN) Step(dt float64) {
 		return
 	}
 	if !s.fcsw.Idle() {
-		s.fcsw.Step(dt, s.onFCSwitchDone)
+		s.fcsw.Step(dt, s.fcswDone)
 	}
 	if !s.dacc.Idle() {
-		s.dacc.Step(dt, s.onCtrlDone)
+		s.dacc.Step(dt, s.ctrlDone)
 	}
 	if !s.fcal.Idle() {
-		s.fcal.Step(dt, s.onLoopDone)
+		s.fcal.Step(dt, s.loopDone)
 	}
 	s.array.step(dt)
 }
@@ -511,23 +568,22 @@ func (s *SAN) StepN(n int, dt float64) {
 }
 
 func (s *SAN) onFCSwitchDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
-	t.Demand = ext.demand
+	t.Demand = t.Payload.(*extSlab).demand
 	s.dacc.Enqueue(t)
 }
 
 func (s *SAN) onCtrlDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
+	e := t.Payload.(*extSlab)
 	if s.rng.Float64() < s.spec.HitRate {
-		s.complete(ext.parent) // cache hit bypasses loop and disks
+		s.array.hit(e) // cache hit bypasses loop and disks
 		return
 	}
-	t.Demand = ext.demand
+	t.Demand = e.demand
 	s.fcal.Enqueue(t)
 }
 
 func (s *SAN) onLoopDone(t *queueing.Task) {
-	s.array.fork(t.Payload.(*extReq))
+	s.array.fork(t.Payload.(*extSlab))
 }
 
 // Idle reports whether the whole SAN is empty.

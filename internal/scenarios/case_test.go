@@ -1,9 +1,13 @@
 package scenarios
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/refdata"
 )
 
@@ -178,5 +182,46 @@ func TestMultiMasterPeakWindow(t *testing.T) {
 	if !(pushNA > pushEU && pushEU > pushAUS) {
 		t.Errorf("push volume ordering NA(%.0f) > EU(%.0f) > AUS(%.0f) violated",
 			pushNA, pushEU, pushAUS)
+	}
+}
+
+// TestConsolidationBuildIsDeterministic builds the scale-1 consolidation
+// platform repeatedly. Client pools must register in the same order on
+// every build — ranging over the client map used to decide it — so their
+// agent IDs, and with them the simulated peak window, repeat exactly.
+func TestConsolidationBuildIsDeterministic(t *testing.T) {
+	build := func() (ids, digest string) {
+		cs, err := NewConsolidation(CaseConfig{Step: 0.01, Seed: 7, Scale: 1, StartHour: 13, EndHour: 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cs.Sim.Shutdown()
+		var b strings.Builder
+		for _, name := range cs.Inf.DCNames() {
+			if p := cs.Inf.DC(name).Clients; p != nil {
+				fmt.Fprintf(&b, "%s:%d/%d ", name, p.Local.ID(), p.Slots[0].NIC.ID())
+			}
+		}
+		cs.Sim.RunFor(60)
+		res := &experiment.Result{
+			Seed: 7, Stats: cs.Sim.Stats(), Series: map[string]*metrics.Series{}, Responses: cs.Sim.Responses,
+		}
+		for _, k := range cs.Sim.Collector.Keys() {
+			res.Series[k] = cs.Sim.Collector.Series(k)
+		}
+		if res.Stats.CompletedOps == 0 {
+			t.Fatal("peak window completed no operations")
+		}
+		return b.String(), res.Digest()
+	}
+	ids, digest := build()
+	for i := 1; i < 4; i++ {
+		gotIDs, gotDigest := build()
+		if gotIDs != ids {
+			t.Fatalf("build %d registered client pools as %s, build 0 as %s", i, gotIDs, ids)
+		}
+		if gotDigest != digest {
+			t.Fatalf("build %d peak-window digest %s, build 0 %s", i, gotDigest, digest)
+		}
 	}
 }

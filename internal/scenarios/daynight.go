@@ -120,13 +120,37 @@ func RunDayNightFluid(cfg DayNightConfig) (*DayNightResult, error) {
 	return runDayNight(cfg, cfg.PeakUsers/60)
 }
 
-// runDayNight is the shared body: assemble the experiment on the validation
-// infrastructure — server clocks scaled by ghzScale — and harvest the
+// runDayNight is the shared body: assemble the experiment and harvest the
 // uniform result.
 func runDayNight(cfg DayNightConfig, ghzScale float64) (*DayNightResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	e, users, err := dayNightExperiment(cfg, ghzScale)
+	if err != nil {
+		return nil, err
+	}
+	run, err := e.Run()
+	if err != nil {
+		return nil, err
+	}
+	res := &DayNightResult{
+		Config:       cfg,
+		Sim:          run.Sim,
+		Result:       run,
+		Users:        users,
+		CompletedOps: run.Stats.CompletedOps,
+		Responses:    run.Responses,
+		Jumps:        run.Stats.Jumps,
+		SkippedTicks: run.Stats.SkippedTicks,
+	}
+	return res, nil
+}
+
+// dayNightExperiment assembles the day-night experiment on the validation
+// infrastructure — server clocks scaled by ghzScale — from a defaulted
+// configuration, returning it with its population curve.
+func dayNightExperiment(cfg DayNightConfig, ghzScale float64) (*experiment.Experiment, workload.Curve, error) {
 	spec := ValidationInfraSpec()
 	if ghzScale != 1 {
 		for i := range spec.DCs {
@@ -171,22 +195,5 @@ func runDayNight(cfg DayNightConfig, ghzScale float64) (*DayNightResult, error) 
 		opts = append(opts, experiment.WithFluid("CAD", "NA", cfg.Fluid))
 	}
 	e, err := experiment.New("daynight", opts...)
-	if err != nil {
-		return nil, err
-	}
-	run, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &DayNightResult{
-		Config:       cfg,
-		Sim:          run.Sim,
-		Result:       run,
-		Users:        users,
-		CompletedOps: run.Stats.CompletedOps,
-		Responses:    run.Responses,
-		Jumps:        run.Stats.Jumps,
-		SkippedTicks: run.Stats.SkippedTicks,
-	}
-	return res, nil
+	return e, users, err
 }

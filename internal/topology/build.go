@@ -131,7 +131,14 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 			inf.links[wanKey{w.To, w.From}] = rev
 		}
 	}
-	for dcName, cs := range spec.Clients {
+	// Register client pools in sorted DC order, not map order, so their
+	// agent IDs — and every RNG stream derived from them — are the same
+	// on every build.
+	for _, dcName := range inf.dcOrder {
+		cs, ok := spec.Clients[dcName]
+		if !ok {
+			continue
+		}
 		dc := inf.DCs[dcName]
 		pool, err := newClientPool(sim, dc, cs)
 		if err != nil {

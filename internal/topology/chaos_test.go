@@ -32,7 +32,7 @@ func TestFailWANInFlight(t *testing.T) {
 	na, eu := inf.DC("NA"), inf.DC("EU")
 
 	// Expand while healthy: the plan pins the primary link.
-	plan, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()),
+	plan, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()),
 		ServerEndpoint(eu.Tier("fs").Pick()), Cost{NetBytes: 1e6, CPUCycles: 1e7})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestFailWANInFlight(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "INFLIGHT", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expand: core.FixedPlans([]core.MessagePlan{plan}),
 			})
 		}
 	}))
@@ -71,7 +71,7 @@ func TestFailWANInFlight(t *testing.T) {
 	}
 
 	// Divert: the same hop expanded after the failure uses the backup.
-	plan2, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()),
+	plan2, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()),
 		ServerEndpoint(eu.Tier("fs").Pick()), Cost{NetBytes: 1e6, CPUCycles: 1e7})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestFailWANInFlight(t *testing.T) {
 			launched2 = true
 			s.StartOp(core.OpRun{
 				Name: "DIVERTED", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan2} },
+				Expand: core.FixedPlans([]core.MessagePlan{plan2}),
 			})
 		}
 	}))
@@ -153,7 +153,7 @@ func TestBackupArrivalsCountsOnlyBackups(t *testing.T) {
 	}
 	na, eu := inf.DC("NA"), inf.DC("EU")
 	inf.FailWAN("NA", "EU")
-	plan, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()),
+	plan, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()),
 		ServerEndpoint(eu.Tier("fs").Pick()), Cost{NetBytes: 1e5, CPUCycles: 1e7})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestBackupArrivalsCountsOnlyBackups(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "BK", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expand: core.FixedPlans([]core.MessagePlan{plan}),
 			})
 		}
 	}))

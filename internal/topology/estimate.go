@@ -7,16 +7,17 @@ import (
 	"repro/internal/hardware"
 )
 
-// PlanDuration returns the isolated (contention-free) duration of a message
-// plan: the sum of stage service times plus the discrete-time forwarding
+// PlanDuration returns the isolated (contention-free) duration of a
+// message's stages (one hop as AppendHop appends it, or a whole plan): the
+// sum of stage service times plus the discrete-time forwarding
 // overhead of one step per stage boundary. It is the analytic counterpart
 // of executing the plan alone on an idle infrastructure, used to calibrate
 // canonical operation costs against the durations the thesis reports
 // (Table 5.1) — the inverse of the paper's profiling step, which measured
 // canonical costs from observed isolated durations.
-func PlanDuration(plan core.MessagePlan, step float64) float64 {
+func PlanDuration(stages []core.Stage, step float64) float64 {
 	total := 0.0
-	for _, st := range plan.Stages {
+	for _, st := range stages {
 		total += stageDuration(st, step)
 		total += step // per-stage forwarding: work enqueued at tick t serves at t+1
 	}

@@ -175,20 +175,18 @@ func (inf *Infrastructure) usableLink(from, to string) *hardware.Link {
 	return nil
 }
 
-// ExpandHop expands one cascade message between two holons into the chain
+// AppendHop expands one cascade message between two holons into the chain
 // of hardware stages it traverses, implementing the decomposition of
 // Eqs. 3.2-3.5: origin NIC, network path (local links, switches, WAN
 // links), destination NIC, then destination processing (memory occupancy,
-// CPU cycles and storage access with cache-hit bypass).
-func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.MessagePlan, error) {
-	// A hop expands into at most origin NIC+link, the switch/link fabric
-	// along the DC path, destination link+NIC and the processing stages;
-	// presizing for the common single-DC case keeps the append chain to
-	// one allocation.
-	stages := make([]core.Stage, 0, 12)
+// CPU cycles and storage access with cache-hit bypass). The stages are
+// appended to dst and the extended slice is returned: the hop is
+// result[len(dst):]. Flows pass their per-flow stage arena, so a warm
+// expansion allocates nothing.
+func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost Cost) ([]core.Stage, error) {
 	add := func(q core.QueueAgent, demand float64) {
 		if demand > 0 {
-			stages = append(stages, core.Stage{Queue: q, Demand: demand})
+			dst = append(dst, core.Stage{Queue: q, Demand: demand})
 		}
 	}
 	net := cost.NetBytes
@@ -215,13 +213,13 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 	default:
 		path, err := inf.Path(from.dc.Name, to.dc.Name)
 		if err != nil {
-			return core.MessagePlan{}, err
+			return dst, err
 		}
 		add(inf.DCs[path[0]].Switch, net)
 		for i := 1; i < len(path); i++ {
 			l := inf.usableLink(path[i-1], path[i])
 			if l == nil {
-				return core.MessagePlan{}, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
+				return dst, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
 			}
 			add(l, net)
 			add(inf.DCs[path[i]].Switch, net)
@@ -235,11 +233,11 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 		add(to.client.NIC, net)
 		pool := to.client.Pool
 		if d := pool.LocalDelay(cost.CPUCycles, cost.DiskBytes); d > 0 {
-			stages = append(stages, core.Stage{Queue: pool.Local, Delay: d})
+			dst = append(dst, core.Stage{Queue: pool.Local, Delay: d})
 		}
 	case epDaemon:
 		if cost.CPUCycles > 0 {
-			stages = append(stages, core.Stage{
+			dst = append(dst, core.Stage{
 				Queue: to.dc.Daemon,
 				Delay: cost.CPUCycles / (daemonGHz * 1e9),
 			})
@@ -247,16 +245,16 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 	case epServer:
 		add(to.server.Link, net)
 		add(to.server.NIC, net)
-		stages = inf.appendServerProcessing(stages, to.server, cost)
+		dst = appendServerProcessing(dst, to.server, cost)
 	}
-	return core.MessagePlan{Stages: stages}, nil
+	return dst, nil
 }
 
-// appendServerProcessing appends the destination-holon stages at a server
-// into the hop's stage slice (no intermediate allocation): memory
-// occupancy held across CPU service and the storage access, with the
-// storage stage bypassed on a memory cache hit (Fig. 3-5).
-func (inf *Infrastructure) appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.Stage {
+// appendServerProcessing appends the destination-holon stages at a server:
+// memory occupancy held across CPU service and the storage access, with
+// the storage stage bypassed on a memory cache hit (Fig. 3-5). The hold is
+// stage data — the first processing stage acquires, the last releases.
+func appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.Stage {
 	start := len(stages)
 	if cost.CPUCycles > 0 {
 		stages = append(stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
@@ -272,10 +270,9 @@ func (inf *Infrastructure) appendServerProcessing(stages []core.Stage, srv *Serv
 		}
 	}
 	if len(stages) > start && cost.MemBytes > 0 {
-		mem, bytes := srv.Mem, cost.MemBytes
-		stages[start].Begin = func() { mem.Acquire(bytes) }
-		last := &stages[len(stages)-1]
-		last.End = func() { mem.Release(bytes) }
+		first, last := &stages[start], &stages[len(stages)-1]
+		first.Hold, first.Acquire = srv.Mem, cost.MemBytes
+		last.Hold, last.Release = srv.Mem, cost.MemBytes
 	}
 	return stages
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -181,6 +182,12 @@ func TestPathFailsWithoutRoute(t *testing.T) {
 	}
 }
 
+// hopPlan expands one hop into a fresh message plan.
+func hopPlan(inf *Infrastructure, from, to Endpoint, cost Cost) (core.MessagePlan, error) {
+	stages, err := inf.AppendHop(nil, from, to, cost)
+	return core.MessagePlan{Stages: stages}, err
+}
+
 // runOp drives one operation with the given plan through the simulation.
 func runOp(t *testing.T, sim *core.Simulation, name string, plan core.MessagePlan) float64 {
 	t.Helper()
@@ -190,7 +197,7 @@ func runOp(t *testing.T, sim *core.Simulation, name string, plan core.MessagePla
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: name, DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expand: core.FixedPlans([]core.MessagePlan{plan}),
 			})
 		}
 	}))
@@ -209,7 +216,7 @@ func TestExpandHopLocalClientToServer(t *testing.T) {
 	na := inf.DC("NA")
 	slot := na.Clients.Next()
 	srv := na.Tier("app").Pick()
-	plan, err := inf.ExpandHop(ClientEndpoint(slot), ServerEndpoint(srv), Cost{
+	plan, err := hopPlan(inf, ClientEndpoint(slot), ServerEndpoint(srv), Cost{
 		CPUCycles: 2e9 * 0.05, // 50 ms at 2 GHz... spread over 8 cores? single task: 50ms on one core
 		NetBytes:  1.25e6,     // 10 ms on 1 Gbps elements
 		MemBytes:  1e9,
@@ -235,11 +242,29 @@ func TestExpandHopMemoryOccupancyBalanced(t *testing.T) {
 	na := inf.DC("NA")
 	srv := na.Tier("app").Servers[0]
 	slot := na.Clients.Next()
-	plan, err := inf.ExpandHop(ClientEndpoint(slot), ServerEndpoint(srv), Cost{
+	plan, err := hopPlan(inf, ClientEndpoint(slot), ServerEndpoint(srv), Cost{
 		CPUCycles: 1e8, NetBytes: 1e5, MemBytes: 4e9,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The hold is stage data: the CPU stage acquires, the last processing
+	// stage releases, and no network stage touches it.
+	holds := 0
+	for i, st := range plan.Stages {
+		if st.Hold == nil {
+			continue
+		}
+		holds++
+		if st.Hold != core.Holder(srv.Mem) || st.Queue != core.QueueAgent(srv.CPU) {
+			t.Errorf("stage %d holds %v on %v, want the server memory on its CPU", i, st.Hold, st.Queue)
+		}
+		if st.Acquire != 4e9 || st.Release != 4e9 {
+			t.Errorf("stage %d acquires %v and releases %v, want 4e9 each", i, st.Acquire, st.Release)
+		}
+	}
+	if holds != 1 {
+		t.Errorf("%d stages carry a hold, want 1 (CPU-only processing)", holds)
 	}
 	runOp(t, sim, "MEM", plan)
 	if used := srv.Mem.Used(); used != 0 {
@@ -250,13 +275,44 @@ func TestExpandHopMemoryOccupancyBalanced(t *testing.T) {
 	}
 }
 
+// TestAppendHopExtendsArena appends two hops into one arena: the prefix
+// stays untouched and each hop equals its stand-alone expansion.
+func TestAppendHopExtendsArena(t *testing.T) {
+	_, inf := buildTestInfra(t)
+	na := inf.DC("NA")
+	from := ClientEndpoint(na.Clients.Next())
+	to := ServerEndpoint(na.Tier("app").Servers[0])
+	cost := Cost{CPUCycles: 1e8, NetBytes: 1e5, MemBytes: 1e6}
+	one, err := inf.AppendHop(nil, from, to, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := make([]core.Stage, 0, 4)
+	arena, err = inf.AppendHop(arena, from, to, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(arena)
+	arena, err = inf.AppendHop(arena, to, from, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := inf.AppendHop(nil, to, from, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(arena[:n]) != fmt.Sprint(one) || fmt.Sprint(arena[n:]) != fmt.Sprint(back) {
+		t.Fatalf("arena %v is not %v followed by %v", arena, one, back)
+	}
+}
+
 func TestExpandHopCrossDCUsesWAN(t *testing.T) {
 	sim, inf := buildTestInfra(t)
 	eu := inf.DC("EU")
 	na := inf.DC("NA")
 	slot := eu.Clients.Next()
 	srv := na.Tier("app").Pick()
-	plan, err := inf.ExpandHop(ClientEndpoint(slot), ServerEndpoint(srv), Cost{
+	plan, err := hopPlan(inf, ClientEndpoint(slot), ServerEndpoint(srv), Cost{
 		CPUCycles: 1e8, NetBytes: 1e6,
 	})
 	if err != nil {
@@ -277,7 +333,7 @@ func TestExpandHopSANPath(t *testing.T) {
 	na := inf.DC("NA")
 	db := na.Tier("db").Pick()
 	slot := na.Clients.Next()
-	plan, err := inf.ExpandHop(ClientEndpoint(slot), ServerEndpoint(db), Cost{
+	plan, err := hopPlan(inf, ClientEndpoint(slot), ServerEndpoint(db), Cost{
 		CPUCycles: 1e8, NetBytes: 1e5, DiskBytes: 50e6,
 	})
 	if err != nil {
@@ -306,7 +362,7 @@ func TestExpandHopCacheHitSkipsStorage(t *testing.T) {
 	}
 	na := inf.DC("NA")
 	srv := na.Tier("app").Pick()
-	plan, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()), ServerEndpoint(srv), Cost{
+	plan, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()), ServerEndpoint(srv), Cost{
 		CPUCycles: 1e8, NetBytes: 1e5, DiskBytes: 100e6,
 	})
 	if err != nil {
@@ -325,13 +381,13 @@ func TestExpandHopDaemonEndpoints(t *testing.T) {
 	fs := eu.Tier("fs").Pick()
 	// Daemon pull request: daemon at NA asks fs at EU (small message), then
 	// the file flows back fs -> daemon.
-	req, err := inf.ExpandHop(DaemonEndpoint(na), ServerEndpoint(fs), Cost{
+	req, err := hopPlan(inf, DaemonEndpoint(na), ServerEndpoint(fs), Cost{
 		CPUCycles: 1e7, NetBytes: 1e4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := inf.ExpandHop(ServerEndpoint(fs), DaemonEndpoint(na), Cost{
+	resp, err := hopPlan(inf, ServerEndpoint(fs), DaemonEndpoint(na), Cost{
 		CPUCycles: 1e7, NetBytes: 5e7,
 	})
 	if err != nil {
@@ -343,12 +399,7 @@ func TestExpandHopDaemonEndpoints(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "PULL", DC: "NA", NumSteps: 2,
-				Expand: func(step int) []core.MessagePlan {
-					if step == 0 {
-						return []core.MessagePlan{req}
-					}
-					return []core.MessagePlan{resp}
-				},
+				Expand: core.FixedPlans([]core.MessagePlan{req}, []core.MessagePlan{resp}),
 			})
 		}
 	}))
@@ -378,7 +429,7 @@ func TestFailoverToBackupLink(t *testing.T) {
 		t.Fatalf("backup path = %v", p)
 	}
 	na, eu := inf.DC("NA"), inf.DC("EU")
-	plan, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()),
+	plan, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()),
 		ServerEndpoint(eu.Tier("fs").Pick()), Cost{NetBytes: 1e6, CPUCycles: 1e7})
 	if err != nil {
 		t.Fatal(err)
@@ -421,13 +472,13 @@ func TestProbeMeasuresCPUUtilization(t *testing.T) {
 	sim.AddSource(core.SourceFunc(func(s *core.Simulation, now float64) {
 		if !launched {
 			launched = true
-			plan, err := inf.ExpandHop(ClientEndpoint(na.Clients.Next()),
+			plan, err := hopPlan(inf, ClientEndpoint(na.Clients.Next()),
 				ServerEndpoint(srv), Cost{CPUCycles: 2e9})
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.StartOp(core.OpRun{Name: "BUSY", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} }})
+				Expand: core.FixedPlans([]core.MessagePlan{plan})})
 		}
 	}))
 	sim.RunFor(2.0)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 )
 
 // Curve is a 24-hour concurrent-user curve indexed by hour of day (GMT).
@@ -168,36 +169,53 @@ func SingleMaster(dcs []string, master string) AccessMatrix {
 }
 
 // Owner samples the owner data center for a request from the given client
-// DC. It panics on an unknown row — a scenario wiring bug.
+// DC. It panics on an unknown row — a scenario wiring bug. Launchers that
+// sample a row repeatedly prepare it once with ownerTable.
 func (m AccessMatrix) Owner(clientDC string, rng *rand.Rand) string {
+	return m.ownerTable(clientDC).draw(rng)
+}
+
+// ownerTable is one access-matrix row prepared for sampling: the owners in
+// sorted order and the running sums of their fractions.
+type ownerTable struct {
+	owners []string
+	cum    []float64
+}
+
+// ownerTable prepares the given client DC's row for repeated draws. It
+// panics on an unknown row — a scenario wiring bug.
+func (m AccessMatrix) ownerTable(clientDC string) ownerTable {
 	row, ok := m[clientDC]
 	if !ok {
 		panic(fmt.Sprintf("workload: APM has no row for %s", clientDC))
 	}
-	u := rng.Float64()
-	acc := 0.0
-	last := ""
-	// Iterate in stable order for determinism.
-	for _, owner := range stableKeys(row) {
-		acc += row[owner]
-		last = owner
-		if u < acc {
-			return owner
-		}
+	t := ownerTable{owners: make([]string, 0, len(row))}
+	for owner := range row {
+		t.owners = append(t.owners, owner)
 	}
-	return last
+	// Sorted order makes the draw deterministic.
+	sort.Strings(t.owners)
+	t.cum = make([]float64, len(t.owners))
+	acc := 0.0
+	for i, owner := range t.owners {
+		acc += row[owner]
+		t.cum[i] = acc
+	}
+	return t
 }
 
-func stableKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: tiny maps, no need for sort import here.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// draw samples an owner: the first whose running sum exceeds a uniform
+// draw, or the last owner when rounding leaves the sum short of the draw
+// ("" for an empty row).
+func (t ownerTable) draw(rng *rand.Rand) string {
+	u := rng.Float64()
+	for i, acc := range t.cum {
+		if u < acc {
+			return t.owners[i]
 		}
 	}
-	return keys
+	if len(t.owners) == 0 {
+		return ""
+	}
+	return t.owners[len(t.owners)-1]
 }

@@ -63,6 +63,8 @@ type AppWorkload struct {
 	Stream uint64
 
 	cum      []float64
+	names    []string   // "<App> <op>" per op, built once
+	owners   ownerTable // the APM row of DC, prepared at the first launch
 	rng      *rand.Rand
 	active   core.Gauge // interned "<prefix>:active"
 	loggedin core.Gauge // interned "<prefix>:loggedin"
@@ -111,6 +113,10 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	}
 	for i := range w.cum {
 		w.cum[i] /= total
+	}
+	w.names = make([]string, len(w.Ops))
+	for i, op := range w.Ops {
+		w.names[i] = w.App + " " + op.Name
 	}
 	// Derive an independent deterministic stream from the simulation seed
 	// and this workload's identity, so multiple workloads stay decoupled
@@ -282,15 +288,18 @@ func (w *AppWorkload) NextPoll(now float64) float64 {
 }
 
 func (w *AppWorkload) launch(s *core.Simulation) {
-	op := w.Ops[w.pickOp()]
+	i := w.pickOp()
+	if w.owners.cum == nil {
+		w.owners = w.APM.ownerTable(w.DC)
+	}
 	local := w.Inf.DC(w.DC)
-	master := w.Inf.DC(w.APM.Owner(w.DC, w.rng))
+	master := w.Inf.DC(w.owners.draw(w.rng))
 	b := cascade.NewBinding(w.Inf, local, master)
-	run, err := cascade.Instantiate(op, b)
+	run, err := cascade.Instantiate(w.Ops[i], b)
 	if err != nil {
 		panic(err)
 	}
-	run.Name = w.App + " " + op.Name
+	run.Name = w.names[i]
 	run.Gauge = w.active
 	s.StartOp(run)
 }
