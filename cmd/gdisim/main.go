@@ -23,7 +23,8 @@
 //	                 the sequential engine). "auto" picks
 //	                 min(GOMAXPROCS, DC count)
 //	-v               print extra run statistics: global barriers, stretched
-//	                 windows and per-shard stretch counters
+//	                 windows, per-shard stretch counters and shard
+//	                 hand-offs
 //	-cpuprofile f    write a CPU profile of the run to f
 //	-memprofile f    write an end-of-run heap profile to f
 //
@@ -71,7 +72,7 @@ func main() {
 	agentSet := flag.Int("agentset", 0, "H-Dispatch agent-set size (0 = 64, the thesis' best)")
 	short := flag.Bool("short", false, "smoke run: tiny H-Dispatch speedup measurement")
 	shards := flag.String("shards", "", `run on the sharded PDES engine: a shard count, or "auto" for min(GOMAXPROCS, DCs) (empty = document/default engine)`)
-	verbose := flag.Bool("v", false, "print extra run statistics: global barriers, stretched windows, per-shard stretch counters")
+	verbose := flag.Bool("v", false, "print extra run statistics: global barriers, stretched windows, per-shard stretch counters, shard hand-offs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -386,11 +387,14 @@ func smoke(name, shards string, verbose bool) {
 
 // printStretchStats reports the sharded runtime's synchronization shape:
 // how many global barriers the run paid and how many windows ran inside
-// stretched spans instead, per shard when the partition engaged, plus the
-// cross-shard mailbox audit (hand-offs applied and the tightest slack
+// stretched spans instead, per shard when the partition engaged, how many
+// phases and spans were handed to the shard workers (the rest ran on the
+// caller because fewer than two shards had work), plus the
+// cross-shard mailbox audit (deliveries applied and the tightest slack
 // against a delivery's WAN-delayed due instant).
 func printStretchStats(st core.RunStats) {
-	fmt.Printf("  global barriers %d, windows stretched %d\n", st.Barriers, st.WindowsStretched)
+	fmt.Printf("  global barriers %d, windows stretched %d, shard hand-offs %d\n",
+		st.Barriers, st.WindowsStretched, st.Handoffs)
 	if len(st.ShardStretch) > 0 {
 		fmt.Printf("  per-shard stretched windows: %v\n", st.ShardStretch)
 	}

@@ -12,12 +12,13 @@ import (
 )
 
 // ShardRunner is the engine capability that unlocks the sharded PDES
-// runtime: an engine that owns a fixed set of shard-pinned workers and can
-// run one function on every shard concurrently. When the configured engine
-// implements it (dispatch.Sharded does) and the bulk-dense loop is on, the
-// simulation partitions its agents across the shards and executes the
-// parallel phases of each window — involved-agent advancement, mailbox
-// application, horizon precomputation — shard-locally, with all flow
+// runtime: an engine that can run one function on every shard
+// concurrently. When the configured engine implements it (dispatch.Sharded
+// does) and the bulk-dense loop is on, the simulation partitions its
+// agents across the shards and executes the parallel phases of each
+// window — involved-agent advancement, mailbox application, horizon
+// precomputation — shard-locally (on the caller when fewer than two shards
+// have work, see shardState.runPhase), with all flow
 // routing, RNG draws and metric writes staying in the sequential residue
 // between barriers. Config.NoShards turns the runtime off for A/B
 // comparison while keeping the same engine.
@@ -185,6 +186,10 @@ type shardState struct {
 	bufs  []shardBuf
 	inv   [][]Agent   // involved-sweep partition scratch
 	pre   [][]AgentID // horizon-precompute partition scratch
+
+	// handoffs counts the phases and spans sent through RunShards; the
+	// ones run on the caller (runPhase) are not counted.
+	handoffs uint64
 
 	// Per-phase worker functions, bound once so the RunShards calls a
 	// window (or span) makes allocate no closures.
@@ -380,11 +385,31 @@ func (st *shardState) sweepInvolved(s *Simulation) {
 	for w := range st.inv {
 		st.inv[w] = st.inv[w][:0]
 	}
+	busy := 0
 	for _, a := range s.invAgents {
 		w := st.shard(a.ID())
+		if len(st.inv[w]) == 0 {
+			busy++
+		}
 		st.inv[w] = append(st.inv[w], a)
 	}
-	st.runner.RunShards(st.sweepFn)
+	st.runPhase(st.sweepFn, busy)
+}
+
+// runPhase runs a pre-bound phase function on every shard. Only a phase
+// with at least two busy shards pays the runner's hand-off; otherwise the
+// shards run in ascending order on the caller. Shards share no state
+// between barriers, so any serial order is a valid schedule of the
+// concurrent phase and the results are bit-identical.
+func (st *shardState) runPhase(fn func(int), busy int) {
+	if busy >= 2 {
+		st.handoffs++
+		st.runner.RunShards(fn)
+		return
+	}
+	for w := 0; w < st.n; w++ {
+		fn(w)
+	}
 }
 
 // applyMail drains every shard's mailbox concurrently — sync the target,
@@ -404,15 +429,17 @@ func (st *shardState) applyMail(s *Simulation) {
 			st.committed[w] = now
 		}
 	}
-	total := 0
+	busy := 0
 	for w := range st.mail {
-		total += len(st.mail[w])
+		if len(st.mail[w]) > 0 {
+			busy++
+		}
 	}
-	if total == 0 {
+	if busy == 0 {
 		return
 	}
 	st.applying = true
-	st.runner.RunShards(st.applyFn)
+	st.runPhase(st.applyFn, busy)
 	st.applying = false
 	for w := range st.bufs {
 		b := &st.bufs[w]
@@ -472,14 +499,18 @@ func (st *shardState) precomputeHorizons(s *Simulation) {
 	for w := range st.pre {
 		st.pre[w] = st.pre[w][:0]
 	}
+	busy := 0
 	for _, id := range s.dirty {
 		if !s.agents[id].Base().active {
 			continue
 		}
 		w := st.shard(id)
+		if len(st.pre[w]) == 0 {
+			busy++
+		}
 		st.pre[w] = append(st.pre[w], id)
 	}
-	st.runner.RunShards(st.preFn)
+	st.runPhase(st.preFn, busy)
 }
 
 // laneState is one shard's private slice of the simulation during a
@@ -590,12 +621,20 @@ func (s *Simulation) trySpan(limit simtime.Tick) bool {
 			S = s.srcDue[i]
 		}
 	}
+	if S <= now+1 {
+		return false
+	}
 	if len(s.crossToks) > 0 {
 		anyCross := false
 		for _, tok := range s.crossToks {
 			lb, mayCross := s.tokenGuard(tok)
 			if lb-1 < S {
 				S = lb - 1
+				// S only falls from here on, so the span is already
+				// refused; the remaining tokens cannot change that.
+				if S <= now+1 {
+					return false
+				}
 			}
 			anyCross = anyCross || mayCross
 		}
@@ -751,8 +790,12 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 		ln.skipped = 0
 		ln.windows = 0
 	}
+	busy := 0
 	for _, id := range s.active {
 		ln := &sh.lanes[sh.shard(id)]
+		if len(ln.active) == 0 {
+			busy++
+		}
 		ln.active = append(ln.active, id)
 	}
 	s.active = s.active[:0]
@@ -803,9 +846,12 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 	}
 
 	// Run the lanes. Each executes the standard window loop privately up
-	// to S; RunShards is the span's only barrier.
+	// to S; RunShards is the span's only barrier. Mid-span posts land in
+	// the target's inbox and apply only at the next application point, so
+	// running the lanes one after another is a valid interleaving too —
+	// the cheaper one when at most one lane holds active agents.
 	sh.inSpan = true
-	sh.runner.RunShards(sh.spanFn)
+	sh.runPhase(sh.spanFn, busy)
 	sh.inSpan = false
 
 	// Merge in ascending shard order — deterministic, and observationally

@@ -1334,6 +1334,10 @@ type RunStats struct {
 	Barriers         uint64   `json:"barriers,omitempty"`
 	WindowsStretched uint64   `json:"windows_stretched,omitempty"`
 	ShardStretch     []uint64 `json:"shard_stretch,omitempty"`
+	// Handoffs counts the barrier phases and spans that were sent through
+	// the engine's RunShards because at least two shards had work; the
+	// rest ran on the calling goroutine. Zero for non-sharded runs.
+	Handoffs uint64 `json:"handoffs,omitempty"`
 	// MailboxApplied / MailboxMinSlack mirror MailboxAudit: cross-shard
 	// hand-offs applied through the shard mailboxes, and the minimum slack
 	// (due tick minus apply tick) observed across them. MailboxMinSlack is
@@ -1357,6 +1361,7 @@ func (s *Simulation) Stats() RunStats {
 	}
 	if s.sh != nil {
 		st.WindowsStretched = s.stretched
+		st.Handoffs = s.sh.handoffs
 		if s.stretched > 0 {
 			st.ShardStretch = slices.Clone(s.sh.shardWindows)
 		}

@@ -7,49 +7,48 @@ import (
 	"repro/internal/core"
 )
 
-// Sharded is the conservative-PDES engine: a fixed pool of shard-pinned
-// workers that the simulation drives through core.ShardRunner. Each worker
-// owns one shard for the engine's lifetime, so every parallel phase of a
-// bulk-dense window — involved-agent advancement, mailbox application,
-// horizon precomputation — executes a shard's agents on the same
-// goroutine, keeping their queue state cache-warm and race-free without
-// per-agent locking. Between phases the simulation runs sequentially; the
-// RunShards barrier is the synchronization point of the PDES recipe.
+// Sharded is the conservative-PDES engine that the simulation drives
+// through core.ShardRunner. RunShards runs fn(0) on the calling goroutine
+// and hands shards 1..n−1 to a fixed pool of n−1 worker goroutines, one
+// per shard for the engine's lifetime (goroutines, not pinned to cores).
+// Within a call each shard touches only its own agents, so the phase is
+// race-free without per-agent locking. Between phases the simulation runs
+// sequentially; the RunShards barrier is the synchronization point of the
+// PDES recipe. The simulation runs any phase or span with fewer than two
+// busy shards on its own goroutine, so a RunShards call is paid only when
+// the work is spread over shards.
 //
 // The engine also serves the plain Engine interface (lock-step loops,
-// Config.NoShards A/B runs) by chunking Sweep calls across the workers in
+// Config.NoShards A/B runs) by chunking Sweep calls across the shards in
 // contiguous ascending-ID blocks — deterministic because sweep callbacks
 // only touch per-agent state.
 type Sharded struct {
 	shards int
-	jobs   []chan func(int)
+	jobs   []chan func(int) // jobs[i] feeds shard i+1's worker
 	wg     sync.WaitGroup
 	once   sync.Once
 }
 
-// NewSharded creates the engine with one pinned worker per shard. A single
-// shard degenerates to inline execution on the calling goroutine — the
-// full sharded runtime (mailboxes, barriers) with zero dispatch overhead,
-// which is the sharded:1 leg of the equivalence suite.
+// NewSharded creates the engine with one worker per shard beyond the first;
+// the caller runs shard 0. A single shard therefore degenerates to inline
+// execution on the calling goroutine — the full sharded runtime
+// (mailboxes, barriers) with zero dispatch overhead, which is the
+// sharded:1 leg of the equivalence suite.
 func NewSharded(shards int) *Sharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("dispatch: sharded engine needs >= 1 shard, got %d", shards))
 	}
-	e := &Sharded{shards: shards}
-	if shards == 1 {
-		return e
-	}
-	e.jobs = make([]chan func(int), shards)
+	e := &Sharded{shards: shards, jobs: make([]chan func(int), shards-1)}
 	for i := range e.jobs {
 		e.jobs[i] = make(chan func(int), 1)
-		go e.worker(i)
+		go e.worker(i + 1)
 	}
 	return e
 }
 
-func (e *Sharded) worker(i int) {
-	for fn := range e.jobs[i] {
-		fn(i)
+func (e *Sharded) worker(w int) {
+	for fn := range e.jobs[w-1] {
+		fn(w)
 		e.wg.Done()
 	}
 }
@@ -58,16 +57,14 @@ func (e *Sharded) worker(i int) {
 func (e *Sharded) ShardCount() int { return e.shards }
 
 // RunShards runs fn(shard) once per shard concurrently and waits for all
-// of them — the barrier of the conservative synchronization protocol.
+// of them — the barrier of the conservative synchronization protocol. The
+// caller runs shard 0 itself while the workers run the rest.
 func (e *Sharded) RunShards(fn func(shard int)) {
-	if e.shards == 1 {
-		fn(0)
-		return
+	e.wg.Add(len(e.jobs))
+	for _, job := range e.jobs {
+		job <- fn
 	}
-	e.wg.Add(e.shards)
-	for i := range e.jobs {
-		e.jobs[i] <- fn
-	}
+	fn(0)
 	e.wg.Wait()
 }
 

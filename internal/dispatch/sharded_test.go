@@ -70,3 +70,24 @@ func TestShardedShutdownIdempotent(t *testing.T) {
 		e.Shutdown()
 	}
 }
+
+// TestShardedRunShardsPublishesWrites checks the memory side of the
+// barrier: each shard writes its own slot of a plain slice — shard 0 on
+// the caller, the rest on workers — and the caller reads every slot after
+// RunShards returns. Under -race this fails if the barrier does not order
+// the workers' writes before the caller's reads.
+func TestShardedRunShardsPublishesWrites(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		e := NewSharded(shards)
+		slots := make([]int, shards)
+		for r := 1; r <= 50; r++ {
+			e.RunShards(func(w int) { slots[w] = r*100 + w })
+			for w, v := range slots {
+				if v != r*100+w {
+					t.Fatalf("shards=%d round %d: slot %d = %d, want %d", shards, r, w, v, r*100+w)
+				}
+			}
+		}
+		e.Shutdown()
+	}
+}

@@ -17,7 +17,7 @@ import (
 // compiled experiment against its Go-built equivalent.
 //
 // Loop-shape counters (Jumps, SkippedTicks, Barriers, WindowsStretched,
-// MailboxApplied, MailboxMinSlack) are deliberately excluded: they describe
+// Handoffs, MailboxApplied, MailboxMinSlack) are deliberately excluded: they describe
 // how the time loop partitioned the run — which legitimately differs across
 // the A/B loop flags and with window stretching on or off — not what the
 // simulation computed. Every simulated quantity (completions, ticks,

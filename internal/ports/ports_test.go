@@ -48,8 +48,11 @@ func TestNewDispatcherPanicsOnZeroThreads(t *testing.T) {
 	NewDispatcher(0, 1)
 }
 
+// TestPortBuffersUntilReceiverRegistered runs on a 1-thread dispatcher:
+// register submits the buffered messages in order, but only a single
+// worker executes them in submission order, which is the order asserted.
 func TestPortBuffersUntilReceiverRegistered(t *testing.T) {
-	d := NewDispatcher(2, 16)
+	d := NewDispatcher(1, 16)
 	defer d.Shutdown()
 	p := NewPort[int](d)
 	p.Post(1)

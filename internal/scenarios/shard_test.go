@@ -178,3 +178,53 @@ func TestShardedEquivalenceChaos(t *testing.T) {
 		}
 	})
 }
+
+// TestShardedSingleDCRunsOnCaller pins the cheap-barrier rule on a
+// one-DC platform: the per-DC partition puts every agent on one shard, so
+// no phase or span ever has two busy shards and the sharded:2 run must
+// hand nothing to the shard workers — while still paying its barriers and
+// reproducing the sequential digest bit for bit.
+func TestShardedSingleDCRunsOnCaller(t *testing.T) {
+	ref := runValidationWith(t, &core.SequentialEngine{}).Result
+	got := runValidationWith(t, dispatch.NewSharded(2)).Result
+	if a, b := ref.Digest(), got.Digest(); a != b {
+		t.Errorf("digest diverged from sequential loop:\n%s\n%s", a, b)
+	}
+	if got.Stats.Barriers == 0 {
+		t.Error("sharded:2 run paid no barrier; the sharded runtime did not engage")
+	}
+	if got.Stats.Handoffs != 0 {
+		t.Errorf("single-DC run handed %d phases to the shard workers, want 0", got.Stats.Handoffs)
+	}
+}
+
+// TestShardedChaosHandoffs pins the other side of the rule on the 3-DC
+// chaos platform at two shards: work spread over both shards is handed to
+// the workers, one-shard work is not, so 0 < Handoffs < Barriers, and the
+// digest is the sequential one.
+func TestShardedChaosHandoffs(t *testing.T) {
+	run := func(extra ...experiment.Option) *experiment.Result {
+		t.Helper()
+		e, err := chaosExperiment(extra...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run()
+	got := run(experiment.WithEngine(func() core.Engine { return dispatch.NewSharded(2) }))
+	if a, b := ref.Digest(), got.Digest(); a != b {
+		t.Errorf("digest diverged from sequential loop:\n%s\n%s", a, b)
+	}
+	if h, b := got.Stats.Handoffs, got.Stats.Barriers; h == 0 || h >= b {
+		t.Errorf("handoffs %d, barriers %d: want 0 < handoffs < barriers", h, b)
+	}
+	t.Logf("barriers %d, handoffs %d, stretched %d", got.Stats.Barriers, got.Stats.Handoffs, got.Stats.WindowsStretched)
+	if ref.Stats.Handoffs != 0 {
+		t.Errorf("sequential run reports %d handoffs", ref.Stats.Handoffs)
+	}
+}
