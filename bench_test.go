@@ -391,7 +391,8 @@ func BenchmarkIdlePlatform(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Seed: 7, Scale: 0.25,
 				StartHour: 2, EndHour: 3,
-				DisableClients: true, NoFastForward: noFF,
+				DisableClients: true,
+				LoopFlags:      LoopFlags{NoFastForward: noFF},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -410,19 +411,16 @@ func BenchmarkIdlePlatform(b *testing.B) {
 	b.Run("tick-by-tick", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkDenseBulk contrasts the bulk-dense loop against the lock-step
-// calendar loop on the regime it targets: the global-peak business hour of
-// the consolidation scenario, where every AppWorkload polls per tick and
-// the calendar loop — its scheduling already O(changed) — still paid an
-// O(active) Step sweep and an unconditional Drain over every active agent
-// on every iteration. The bulk-dense loop steps only the agents whose
-// event fires that tick (each lazy agent catches up in one horizon-bounded
-// bulk replay) and drains only the popped-due + notified set. Results are
-// bit-identical (TestBulkDenseEquivalence); the ns/op ratio is the
-// headline, recorded in BENCH_bulk.json.
+// BenchmarkDenseBulk runs the bulk-dense loop on the regime it targets:
+// the global-peak business hour of the consolidation scenario, where every
+// AppWorkload polls per tick. The bulk-dense loop steps only the agents
+// whose event fires that tick (each lazy agent catches up in one
+// horizon-bounded bulk replay) and drains only the popped-due + notified
+// set. Results are bit-identical to the plain loop
+// (TestBulkDenseEquivalence); the ns/op trajectory sits next to the
+// BENCH_bulk.json snapshot.
 func BenchmarkDenseBulk(b *testing.B) {
-	run := func(b *testing.B, noBulk bool) {
-		b.Helper()
+	b.Run("bulk-dense", func(b *testing.B) {
 		b.ReportAllocs()
 		var ops uint64
 		var active int
@@ -431,7 +429,6 @@ func BenchmarkDenseBulk(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				NoBulkDense: noBulk,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -447,23 +444,18 @@ func BenchmarkDenseBulk(b *testing.B) {
 		}
 		b.ReportMetric(float64(ops), "ops")
 		b.ReportMetric(float64(active), "active-agents")
-	}
-	b.Run("bulk-dense", func(b *testing.B) { run(b, false) })
-	b.Run("lock-step", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkShardScaling measures the sharded PDES engine on the dense
 // peak-hour scenario — the same global business hour BenchmarkDenseBulk
 // uses, where ~50 agents stay hot and every window carries cross-DC
-// cascade traffic. The noshards case runs the 4-shard engine with the
-// sharded runtime disabled (Config.NoShards), isolating what the shard
-// partition, mailboxes and shard-local phases buy over the identical
-// worker pool; sequential is the single-core reference. Results are
+// cascade traffic. Sequential is the single-core reference. Results are
 // bit-identical across all rows (TestShardedEquivalence*); the ns/op
 // ratios land in BENCH_shard.json. Scaling requires real cores: with
 // GOMAXPROCS=1 the barrier overhead is all cost and no win.
 func BenchmarkShardScaling(b *testing.B) {
-	run := func(b *testing.B, mk func() core.Engine, noShards bool) {
+	run := func(b *testing.B, mk func() core.Engine) {
 		b.Helper()
 		b.ReportAllocs()
 		var ops uint64
@@ -477,8 +469,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				Engine:   eng,
-				NoShards: noShards,
+				Engine: eng,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -495,14 +486,11 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.ReportMetric(float64(ops), "ops")
 		b.ReportMetric(float64(active), "active-agents")
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, nil, false) })
-	b.Run("noshards", func(b *testing.B) {
-		run(b, func() core.Engine { return dispatch.NewSharded(4) }, true)
-	})
+	b.Run("sequential", func(b *testing.B) { run(b, nil) })
 	for _, n := range []int{1, 2, 4, 8} {
 		n := n
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
-			run(b, func() core.Engine { return dispatch.NewSharded(n) }, false)
+			run(b, func() core.Engine { return dispatch.NewSharded(n) })
 		})
 	}
 }
@@ -529,8 +517,8 @@ func BenchmarkWindowStretch(b *testing.B) {
 		var barriers, stretched, ops uint64
 		for i := 0; i < b.N; i++ {
 			res, err := scenarios.RunDayNight(scenarios.DayNightConfig{
-				Seed: 7, Hours: 6, NoThinning: true,
-				Engine: dispatch.NewSharded(shards), NoStretch: noStretch,
+				Seed: 7, Hours: 6, Engine: dispatch.NewSharded(shards),
+				LoopFlags: LoopFlags{NoThinning: true, NoStretch: noStretch},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -551,9 +539,8 @@ func BenchmarkWindowStretch(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				Engine:         dispatch.NewSharded(shards),
-				NoStretch:      noStretch,
-				NoCrossStretch: noCross,
+				Engine:    dispatch.NewSharded(shards),
+				LoopFlags: LoopFlags{NoStretch: noStretch, NoCrossStretch: noCross},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -583,24 +570,18 @@ func BenchmarkWindowStretch(b *testing.B) {
 
 // BenchmarkDayNightClients runs the day-night client scenario — the
 // validation platform under a 24 h business-day curve with a 5% night
-// floor at the default 10 ms step — in the two loop configurations the
-// event-calendar PR contrasts: the full loop (indexed calendar + thinned
-// arrivals) against the PR 2 loop (scan-based jump sizing, per-tick
-// Poisson draws). The positive night floor vetoes every jump in the PR 2
-// loop, so it ticks through all 8.64M steps; thinning turns the night
-// into sampled arrival gaps the calendar loop jumps across. Results are
-// distribution-identical (TestThinnedArrivalEquivalence); the wall-clock
-// ratio is the headline (>=3x).
+// floor at the default 10 ms step — on the default loop with thinned
+// arrivals: thinning turns the night into sampled arrival gaps the
+// calendar loop jumps across, so most of the 8.64M ticks are skipped.
+// Results are distribution-identical to per-tick draws
+// (TestThinnedArrivalEquivalence).
 func BenchmarkDayNightClients(b *testing.B) {
-	run := func(b *testing.B, noCal, noThin bool) {
-		b.Helper()
+	b.Run("calendar-thinned", func(b *testing.B) {
 		b.ReportAllocs()
 		var res *scenarios.DayNightResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = scenarios.RunDayNight(scenarios.DayNightConfig{
-				Seed: 7, NoCalendar: noCal, NoThinning: noThin,
-			})
+			res, err = scenarios.RunDayNight(scenarios.DayNightConfig{Seed: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -608,9 +589,7 @@ func BenchmarkDayNightClients(b *testing.B) {
 		b.ReportMetric(float64(res.CompletedOps), "ops")
 		b.ReportMetric(float64(res.Jumps), "jumps")
 		b.ReportMetric(float64(res.SkippedTicks), "skipped-ticks")
-	}
-	b.Run("calendar-thinned", func(b *testing.B) { run(b, false, false) })
-	b.Run("pr2-loop", func(b *testing.B) { run(b, true, true) })
+	})
 }
 
 // BenchmarkFluidDayNight is the fluid tier's headline: the 24 h day-night

@@ -12,9 +12,12 @@
 // time loop drives the agents with in-flight work (active-set scheduling)
 // and fast-forwards the clock across provably quiet stretches, with jump
 // sizing and poll scheduling read off an indexed event calendar in
-// O(changed agents) per iteration (see DESIGN.md) — all bit-identical to
-// the plain tick-by-tick loop — parallelized with either the classic
-// Scatter-Gather mechanism or the H-Dispatch pull model of Chapter 4.
+// O(changed agents) per iteration and agents stepped only at their own
+// events, caught up in bulk otherwise (see DESIGN.md). That one production
+// loop is bit-identical to the plain tick-by-tick loop, which
+// SimConfig.NoFastForward keeps as the oracle. Sweeps run in parallel on
+// the classic Scatter-Gather mechanism or the H-Dispatch pull model of
+// Chapter 4, or on the sharded conservative-PDES engine.
 // Sparse client workloads sample thinned inter-arrival gaps instead of
 // per-tick Poisson draws, so low-traffic hours fast-forward too
 // (distribution-identical; SimConfig.NoThinning restores bit-identity).

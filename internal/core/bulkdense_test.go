@@ -61,10 +61,10 @@ func (a *hzAgent) Horizon() float64 { return a.q.Horizon() }
 // it. A busy neighbor keeps the loop iterating every tick, so the armed
 // agent is skipped by the involved-only sweep the whole way; the due-pop
 // at its event tick must still step and drain it at exactly the instant
-// the lock-step loop would.
+// the plain loop would.
 func TestBulkDrainReachesArmedCompletion(t *testing.T) {
-	run := func(noBulk bool) (*Simulation, *hzAgent, *hzAgent) {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(noFF bool) (*Simulation, *hzAgent, *hzAgent) {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoFastForward: noFF})
 		slow := newHzAgent(s, "slow", 100) // demand 100 => 1 s = 100 ticks
 		fast := newHzAgent(s, "fast", 100)
 		armed := false
@@ -111,7 +111,7 @@ func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 		t.Errorf("ticks advanced diverged: bulk %d vs plain %d", bulkSlow.stepped, plainSlow.stepped)
 	}
 	if plainSlow.steps < 90 {
-		t.Errorf("lock-step loop stepped the armed agent %d times, want ~100 (every tick)", plainSlow.steps)
+		t.Errorf("plain loop stepped the armed agent %d times, want ~100 (every tick)", plainSlow.steps)
 	}
 	if bulkSlow.steps > 10 {
 		t.Errorf("bulk-dense loop stepped the armed agent %d times, want <= 10 (lazy catch-up)", bulkSlow.steps)
@@ -121,10 +121,10 @@ func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 // TestBulkQuietArmedCompletion is the jump variant of the drain-set case:
 // nothing else happens, so the loop takes one long jump to just before the
 // armed event tick and a single step onto it — the completion must still
-// be found and drained on time.
+// be found and drained on the plain loop's tick.
 func TestBulkQuietArmedCompletion(t *testing.T) {
-	run := func(noBulk bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(noFF bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoFastForward: noFF})
 		slow := newHzAgent(s, "slow", 100)
 		s.AddSource(&timedSource{at: 0, launch: func(sim *Simulation) {
 			sim.StartOp(singleStageOp("ARMED", "NA", slow, 500)) // 5 s
@@ -140,12 +140,7 @@ func TestBulkQuietArmedCompletion(t *testing.T) {
 	if bs.T[0] != ps.T[0] || bs.V[0] != ps.V[0] {
 		t.Fatalf("completion diverged: (%v, %v) vs (%v, %v)", bs.T[0], bs.V[0], ps.T[0], ps.V[0])
 	}
-	bj, bskip := bulk.FastForwardStats()
-	pj, pskip := plain.FastForwardStats()
-	if bj != pj || bskip != pskip {
-		t.Errorf("jump stats diverged: %d/%d vs %d/%d (jump sizing must be unchanged)", bj, bskip, pj, pskip)
-	}
-	if bskip < 900 {
+	if _, bskip := bulk.FastForwardStats(); bskip < 900 {
 		t.Errorf("skipped only %d ticks; the quiet schedule holds ~9.5 s", bskip)
 	}
 }
@@ -154,10 +149,10 @@ func TestBulkQuietArmedCompletion(t *testing.T) {
 // work arriving on a lazily-stepped agent must land on state that has been
 // replayed to the present tick, so in-progress service keeps its exact
 // completion instant and the new work queues behind it identically to the
-// lock-step loop.
+// plain loop.
 func TestBulkLazyEnqueueSyncsFirst(t *testing.T) {
-	run := func(noBulk bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(noFF bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoFastForward: noFF})
 		ag := newHzAgent(s, "srv", 100)
 		fast := newHzAgent(s, "fast", 100)
 		// Long service armed at t=0; a second task lands mid-service at
@@ -271,17 +266,14 @@ func TestDormantSourceNotReconsulted(t *testing.T) {
 func TestCalendarInvalidationProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			calendarProperty(t, seed, 10000, false)
+			calendarProperty(t, seed, 10000)
 		})
 	}
-	// The lock-step calendar loop upholds the same invariant with keys
-	// based at the clock (every active agent is swept every iteration).
-	t.Run("seed-7-lockstep", func(t *testing.T) { calendarProperty(t, 7, 10000, true) })
 }
 
-func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
+func calendarProperty(t *testing.T, seed uint64, nops int) {
 	t.Helper()
-	s := NewSimulation(Config{Step: 0.01, Seed: seed, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	s := NewSimulation(Config{Step: 0.01, Seed: seed, CollectEvery: 1 << 30})
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	agents := make([]*hzAgent, 8)
 	for i := range agents {
@@ -290,7 +282,6 @@ func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
 
 	verify := func(op string) {
 		s.rekeyDirty() // fold pending invalidations, as the loop would before reading the head
-		now := s.clock.Now()
 		for i, e := range s.cal.entries {
 			if s.cal.pos[e.id] != int32(i) {
 				t.Fatalf("after %s: pos[%d] = %d, entry at %d", op, e.id, s.cal.pos[e.id], i)
@@ -315,10 +306,7 @@ func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
 			if !s.cal.contains(b.id) {
 				t.Fatalf("after %s: active agent %d missing from calendar", op, b.id)
 			}
-			base := now
-			if s.bulkDense {
-				base = s.agentTick[b.id]
-			}
+			base := s.agentTick[b.id]
 			want := s.agentKey(a.Horizon(), base)
 			if got := s.cal.entries[s.cal.pos[b.id]].key; got != want {
 				t.Fatalf("after %s: agent %d key %d, want %d (horizon %v based at tick %d)",
@@ -357,12 +345,13 @@ func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
 
 // TestBulkDirectTickMatchesLockStep runs the same random traffic under
 // direct Tick calls — where every landing is a full-sync — and under the
-// jumping run loop, in bulk and lock-step modes, asserting identical
-// responses. It complements the scenario-level equivalence suite with a
-// core-only harness that is cheap enough for -short.
+// jumping run loop, against the plain loop that steps every agent in lock
+// step, asserting identical responses. It complements the scenario-level
+// equivalence suite with a core-only harness that is cheap enough for
+// -short.
 func TestBulkDirectTickMatchesLockStep(t *testing.T) {
-	run := func(noBulk bool, direct bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 9, CollectEvery: 50, NoBulkDense: noBulk})
+	run := func(noFF bool, direct bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 9, CollectEvery: 50, NoFastForward: noFF})
 		ag := newHzAgent(s, "srv", 200)
 		dl := NewDelayLine(s, "think")
 		count := 0
@@ -391,10 +380,9 @@ func TestBulkDirectTickMatchesLockStep(t *testing.T) {
 	ref := run(true, false)
 	for _, tc := range []struct {
 		name   string
-		noBulk bool
 		direct bool
-	}{{"bulk-run", false, false}, {"bulk-direct-tick", false, true}, {"lockstep-direct-tick", true, true}} {
-		got := run(tc.noBulk, tc.direct)
+	}{{"bulk-run", false}, {"bulk-direct-tick", true}} {
+		got := run(false, tc.direct)
 		if ref.CompletedOps() != got.CompletedOps() {
 			t.Errorf("%s: completed ops %d vs %d", tc.name, ref.CompletedOps(), got.CompletedOps())
 		}

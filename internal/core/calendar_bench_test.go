@@ -7,16 +7,14 @@ import (
 	"repro/internal/queueing"
 )
 
-// benchQuietTicks measures one jump-sizing call in a dense period: n
+// benchJumpTicks measures one jump-sizing call in a dense period: n
 // background agents hold far-future work (active, but never dirty) while a
-// pinned default-horizon churner forces a single-step every iteration —
-// the regime where the scan loop pays O(active) Horizon calls per
-// iteration. The churner carries the highest AgentID so the scan cannot
-// bail out early, mirroring a worst-case dense tick. The calendar variant
-// reads the heap head instead: its cost must stay flat as n grows tenfold.
-func benchQuietTicks(b *testing.B, n int, cal bool) {
+// pinned default-horizon churner forces a single-step every iteration. The
+// sizer reads the calendar head and the cached source schedule, so its
+// cost must stay flat as n grows tenfold.
+func benchJumpTicks(b *testing.B, n int) {
 	b.Helper()
-	s := NewSimulation(Config{Step: 0.01, CollectEvery: 1 << 30, Seed: 1, NoCalendar: !cal})
+	s := NewSimulation(Config{Step: 0.01, CollectEvery: 1 << 30, Seed: 1})
 	for i := 0; i < n; i++ {
 		dl := NewDelayLine(s, fmt.Sprintf("bg-%d", i))
 		dl.Enqueue(&queueing.Task{ID: uint64(i), Delay: 1e6})
@@ -25,27 +23,21 @@ func benchQuietTicks(b *testing.B, n int, cal bool) {
 	churn.InitAgent(s.NextAgentID(), "churn")
 	s.AddAgent(churn)
 	churn.Pin()
-	s.RunFor(0.05) // settle: materialize the sweep and the calendar
-	limit := s.clock.Now() + 1000
+	s.RunFor(0.05) // settle: materialize the calendar
+	now := s.clock.Now()
+	limit := now + 1000
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cal {
-			_ = s.quietTicksCal(limit)
-		} else {
-			_ = s.quietTicks(limit)
-		}
+		_ = s.jumpTicks(now, limit, s.srcMin, &s.cal)
 	}
 }
 
-// BenchmarkQuietTicksDense contrasts the per-iteration scheduling cost of
-// the scan loop against the calendar loop at 1x and 10x active-set size:
-// the scan column scales with the active agents, the calendar column with
-// the dirty agents (here: one churner), which is the tentpole claim of the
-// event-calendar change.
+// BenchmarkQuietTicksDense reports the per-iteration scheduling cost of
+// the calendar loop at 1x and 10x active-set size: the cost scales with
+// the dirty agents (here: one churner), not with the active ones.
 func BenchmarkQuietTicksDense(b *testing.B) {
 	for _, n := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("scan-active-%d", n), func(b *testing.B) { benchQuietTicks(b, n, false) })
-		b.Run(fmt.Sprintf("calendar-active-%d", n), func(b *testing.B) { benchQuietTicks(b, n, true) })
+		b.Run(fmt.Sprintf("calendar-active-%d", n), func(b *testing.B) { benchJumpTicks(b, n) })
 	}
 }

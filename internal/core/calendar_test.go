@@ -118,12 +118,12 @@ func (v *vetoAgent) Idle() bool                      { return true }
 
 // TestCalendarSkipsNotDuePolls checks the poll scheduler: a source with a
 // 50 ms schedule under a 10 ms step must be polled on roughly every fifth
-// tick by the calendar loop, while the scan loop polls it every tick. A
+// tick by the calendar loop, while the plain loop polls it every tick. A
 // pinned default-horizon agent pins the clock to single steps, so the
 // difference comes from poll scheduling alone, not from jumps.
 func TestCalendarSkipsNotDuePolls(t *testing.T) {
-	run := func(noCal bool) int {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, NoCalendar: noCal})
+	run := func(noFF bool) int {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, NoFastForward: noFF})
 		v := &vetoAgent{}
 		v.InitAgent(s.NextAgentID(), "veto")
 		s.AddAgent(v)
@@ -136,10 +136,10 @@ func TestCalendarSkipsNotDuePolls(t *testing.T) {
 		}
 		return src.polls
 	}
-	scan := run(true)
+	plain := run(true)
 	cal := run(false)
-	if scan != 1000 {
-		t.Errorf("scan loop polled %d times, want 1000", scan)
+	if plain != 1000 {
+		t.Errorf("plain loop polled %d times, want 1000", plain)
 	}
 	if cal < 198 || cal > 202 {
 		t.Errorf("calendar loop polled %d times, want ~200 (every 5th tick)", cal)

@@ -364,9 +364,9 @@ func (s *Simulation) startStage(tok *token) {
 			}
 			// Under the bulk-dense loop the target may be lazily stepped;
 			// replay its deficit before the enqueue mutates its queues, so
-			// the new work lands on state identical to the lock-step
-			// loop's. Hardware agents also self-sync in Enqueue; routing
-			// through here covers custom agents too.
+			// the new work lands on state identical to the plain loop's.
+			// Hardware agents also self-sync in Enqueue; routing through
+			// here covers custom agents too.
 			s.syncAgent(st.Queue.ID())
 			st.Queue.Enqueue(&tok.task)
 			// Join the active set so the engine sweeps this agent next

@@ -14,14 +14,14 @@ import (
 // ShardRunner is the engine capability that unlocks the sharded PDES
 // runtime: an engine that can run one function on every shard
 // concurrently. When the configured engine implements it (dispatch.Sharded
-// does) and the bulk-dense loop is on, the simulation partitions its
-// agents across the shards and executes the parallel phases of each
-// window — involved-agent advancement, mailbox application, horizon
-// precomputation — shard-locally (on the caller when fewer than two shards
-// have work, see shardState.runPhase), with all flow
-// routing, RNG draws and metric writes staying in the sequential residue
-// between barriers. Config.NoShards turns the runtime off for A/B
-// comparison while keeping the same engine.
+// does) and fast-forward is on, the simulation partitions its agents
+// across the shards and executes the parallel phases of each window —
+// involved-agent advancement, mailbox application, horizon precomputation
+// — shard-locally (on the caller when fewer than two shards have work, see
+// shardState.runPhase), with all flow routing, RNG draws and metric writes
+// staying in the sequential residue between barriers. Under
+// Config.NoFastForward the plain loop drives the same engine through
+// Sweep calls only.
 type ShardRunner interface {
 	Engine
 	// ShardCount reports the number of shards the engine runs.
@@ -115,8 +115,8 @@ type shardBuf struct {
 
 // shardState is the sharded-runtime extension of a Simulation: the shard
 // map, per-shard mailboxes and scratch, and the per-shard RNG seeds. It
-// exists only when the configured engine is a ShardRunner, the bulk-dense
-// loop is enabled and Config.NoShards is off.
+// exists only when the configured engine is a ShardRunner and fast-forward
+// is on.
 type shardState struct {
 	runner ShardRunner
 	n      int
@@ -949,30 +949,9 @@ func (s *Simulation) laneWindow(ln *laneState) {
 
 	s.laneRekey(ln)
 
-	// Jump sizing — quietTicksCal against the lane's calendar and source
-	// schedule, additionally capped at the span end.
-	jump := simtime.Tick(1)
-	if s.fastForward && ln.spanEnd > ln.tick+1 {
-		max := ln.spanEnd - ln.tick
-		if b := s.collectEvery - ln.tick%s.collectEvery; b < max {
-			max = b
-		}
-		if max > 1 {
-			if ln.srcMin != neverTick {
-				if k := ln.srcMin - ln.tick; k < max {
-					max = k
-				}
-			}
-			if h := ln.cal.minKey(); h != neverTick {
-				if k := h - 1 - ln.tick; k < max {
-					max = k
-				}
-			}
-		}
-		if max > 1 {
-			jump = max
-		}
-	}
+	// Jump sizing against the lane's calendar and source schedule, with the
+	// span end standing in for the run limit.
+	jump := s.jumpTicks(ln.tick, ln.spanEnd, ln.srcMin, &ln.cal)
 	landing := ln.tick + jump
 
 	// The involved set: due calendar entries plus the lane's pinned
@@ -1168,7 +1147,7 @@ func (s *Simulation) SetShardLookahead(sec []float64) {
 }
 
 // Sharded reports the shard count when the sharded runtime is engaged
-// (ShardRunner engine, bulk-dense loop on, Config.NoShards off).
+// (ShardRunner engine, Config.NoFastForward off).
 func (s *Simulation) Sharded() (int, bool) {
 	if s.sh == nil {
 		return 0, false

@@ -51,30 +51,14 @@ type Config struct {
 	// Engine parallelizes agent sweeps; nil selects SequentialEngine.
 	Engine Engine
 	// NoFastForward disables the event-horizon fast-forward and forces the
-	// plain tick-by-tick loop: every source polled every tick, every jump
-	// length 1. Results are bit-identical either way — the equivalence
-	// tests enforce it — so the flag exists for A/B benchmarking and as a
-	// bisection aid, not as a safety valve. It implies NoCalendar.
+	// plain tick-by-tick loop: every source polled every tick, every active
+	// agent stepped and drained every tick, no calendar, no sharded
+	// runtime. The plain loop is the semantic oracle: results are
+	// bit-identical either way — the equivalence tests enforce it — so the
+	// flag exists for A/B benchmarking and as a bisection aid, not as a
+	// safety valve. With the flag off (the default), each iteration is one
+	// bulk-dense calendar window (tickBulk).
 	NoFastForward bool
-	// NoCalendar disables the indexed event calendar and the poll
-	// scheduler, restoring the scan-based fast-forward loop that recomputes
-	// every source's NextPoll and every active agent's Horizon on each
-	// iteration. Results are bit-identical with the calendar on or off;
-	// the flag exists for A/B benchmarking the O(changed) scheduling win.
-	// It implies NoBulkDense.
-	NoCalendar bool
-	// NoBulkDense disables agent-local bulk stepping for dense periods and
-	// the calendar-driven drain, restoring the lock-step calendar loop that
-	// sweeps and drains every active agent on every iteration. With the
-	// flag off (the default), each iteration globally steps only the agents
-	// whose calendar entry is due plus the pinned set; every other active
-	// agent is advanced lazily — caught up in one bulk replay when it is
-	// next enqueued on, popped due, or a collector boundary lands — and the
-	// drain walks only the popped-due set plus the agents whose queues
-	// fired SetNotify since the last drain. Results are bit-identical
-	// either way — the equivalence tests enforce it — so the flag exists
-	// for A/B benchmarking and bisection, not as a safety valve.
-	NoBulkDense bool
 	// NoThinning disables exponential-gap arrival thinning in sources that
 	// support it (workload.AppWorkload), forcing per-tick Poisson draws.
 	// Unlike the loop flags this one changes the RNG draw sequence: with
@@ -82,14 +66,6 @@ type Config struct {
 	// (same arrival law), not bit-identical; NoThinning restores the
 	// bit-identity guarantee for client workloads.
 	NoThinning bool
-	// NoShards disables the sharded PDES runtime even when Engine is a
-	// ShardRunner: the engine's workers still serve plain Sweep calls, but
-	// the simulation skips the shard partition, the drain-phase mailboxes
-	// and the shard-local window phases, running the stock bulk-dense
-	// loop. Results are bit-identical with sharding on or off — the
-	// equivalence tests enforce it — so like the other loop flags this is
-	// an A/B benchmarking and bisection aid, not a safety valve.
-	NoShards bool
 	// NoStretch disables Chandy-Misra window stretching in the sharded
 	// runtime: the simulation still partitions agents onto shards and
 	// defers drain enqueues through the mailboxes, but every calendar
@@ -116,8 +92,8 @@ type Config struct {
 	// source, no fault probes and no fault transitions. The resulting run
 	// is bit-identical to one that never declared faults — the equivalence
 	// tests enforce it — making this the A/B flag for chaos scenarios in
-	// the same spirit as NoCalendar/NoBulkDense: healthy baseline vs.
-	// faulted run from one scenario definition.
+	// the same spirit as NoFastForward: healthy baseline vs. faulted run
+	// from one scenario definition.
 	NoFaults bool
 }
 
@@ -153,9 +129,7 @@ type Simulation struct {
 	seed         uint64
 	rng          *rand.Rand
 
-	fastForward bool   // event-horizon jumps enabled (Config.NoFastForward off)
-	useCalendar bool   // indexed event calendar + poll scheduler (NoCalendar off)
-	bulkDense   bool   // agent-local bulk stepping + calendar drains (NoBulkDense off)
+	fastForward bool   // bulk-dense calendar loop (Config.NoFastForward off)
 	thinning    bool   // sources may thin arrivals (Config.NoThinning off)
 	noFaults    bool   // fault injection disabled (Config.NoFaults on)
 	jumps       uint64 // fast-forward jumps taken
@@ -229,7 +203,7 @@ type Simulation struct {
 	stretched uint64
 
 	// sh is the sharded-runtime state, non-nil only when the engine is a
-	// ShardRunner, the bulk-dense loop is on and Config.NoShards is off.
+	// ShardRunner and fast-forward is on.
 	sh *shardState
 
 	// hMemo/hMemoTick memoize each agent's last computed Horizon together
@@ -275,8 +249,6 @@ func NewSimulation(cfg Config) *Simulation {
 		rng:          rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		gaugeIdx:     make(map[string]Gauge),
 		fastForward:  !cfg.NoFastForward,
-		useCalendar:  !cfg.NoCalendar && !cfg.NoFastForward,
-		bulkDense:    !cfg.NoBulkDense && !cfg.NoCalendar && !cfg.NoFastForward,
 		thinning:     !cfg.NoThinning,
 		noFaults:     cfg.NoFaults,
 		activeSorted: true,
@@ -285,9 +257,9 @@ func NewSimulation(cfg Config) *Simulation {
 	s.advanceFn = s.advanceInvolved
 	s.drainFn = s.onTaskDone
 	// The sharded runtime needs the bulk-dense window structure: its
-	// barriers are the window boundaries, so the lock-step loops run any
+	// barriers are the window boundaries, so the plain loop runs any
 	// engine — including a ShardRunner — through plain Sweep calls.
-	if sr, ok := eng.(ShardRunner); ok && s.bulkDense && !cfg.NoShards {
+	if sr, ok := eng.(ShardRunner); ok && s.fastForward {
 		s.sh = newShardState(s, sr, cfg.Seed)
 		s.sh.stretch = !cfg.NoStretch
 		s.sh.noCross = cfg.NoCrossStretch
@@ -357,9 +329,9 @@ func (s *Simulation) AddAgent(a Agent) {
 // activate records an agent ID in the active set. Callers go through
 // AgentBase.MarkActive, which guarantees duplicate-free O(1) insertion.
 // An append below the current tail breaks sortedness; any append
-// invalidates the materialized sweep. Under the bulk-dense loop an agent
-// activates "current": its state has trivially been stepped through the
-// present tick, so lazy catch-up starts from here; a tombstoned entry
+// invalidates the materialized sweep. An agent activates "current": its
+// state has trivially been stepped through the present tick, so the
+// bulk-dense loop's lazy catch-up starts from here; a tombstoned entry
 // (deactivated but not yet compacted away) is revived in place.
 func (s *Simulation) activate(id AgentID) {
 	if s.sh != nil {
@@ -398,12 +370,12 @@ func (s *Simulation) activate(id AgentID) {
 	s.sweepStale = true
 }
 
-// invalidate queues an agent for a calendar rekey and, under the
-// bulk-dense loop, for the next calendar-driven drain. Callers go through
-// AgentBase.MarkActive/MarkDirty, which gate duplicates; it must only run
-// in sequential phases.
+// invalidate queues an agent for a calendar rekey and for the next
+// calendar-driven drain; the plain loop keeps no calendar. Callers go
+// through AgentBase.MarkActive/MarkDirty, which gate duplicates; it must
+// only run in sequential phases.
 func (s *Simulation) invalidate(id AgentID) {
-	if !s.useCalendar {
+	if !s.fastForward {
 		return
 	}
 	if s.sh != nil {
@@ -428,11 +400,9 @@ func (s *Simulation) invalidate(id AgentID) {
 	}
 	s.dirty = append(s.dirty, id)
 	s.hMemoTick[id] = hMemoUnset
-	if s.bulkDense {
-		if b := s.agents[id].Base(); !b.pendDrain {
-			b.pendDrain = true
-			s.drainPend = append(s.drainPend, id)
-		}
+	if b := s.agents[id].Base(); !b.pendDrain {
+		b.pendDrain = true
+		s.drainPend = append(s.drainPend, id)
 	}
 }
 
@@ -466,7 +436,7 @@ func (s *Simulation) ActiveAgents() int { return s.liveActive }
 // RearmSource.
 type SourceHandle int
 
-// AddSource registers a work source and returns its handle. The scan loop
+// AddSource registers a work source and returns its handle. The plain loop
 // polls every source every tick; the calendar loop polls a source whenever
 // its NextPoll schedule is due, starting at the next tick boundary. A
 // source whose NextPoll returns +Inf is parked: it is not re-consulted
@@ -514,10 +484,10 @@ func (s *Simulation) AddLaneSource(src Source, dc string) SourceHandle {
 // callbacks that re-arm a dormant (+Inf-schedule) source call it so the
 // calendar loop picks the new schedule up without re-polling every dormant
 // source on every iteration; it is harmless (and cheap) to call for a
-// source that never went dormant. The zero handle is a no-op, and the scan
-// loop — which re-consults everything every tick anyway — ignores it.
+// source that never went dormant. The zero handle is a no-op, and the plain
+// loop — which polls everything every tick anyway — ignores it.
 func (s *Simulation) RearmSource(h SourceHandle) {
-	if h <= 0 || int(h) > len(s.sources) || !s.useCalendar {
+	if h <= 0 || int(h) > len(s.sources) || !s.fastForward {
 		return
 	}
 	if s.sh != nil && s.sh.inSpan {
@@ -605,26 +575,22 @@ func (s *Simulation) GaugeProbe(key string) metrics.Probe {
 // RunFor/RunUntilIdle, which pass their end tick as the jump bound.
 func (s *Simulation) Tick() { s.tick(s.clock.Now() + 1) }
 
-// tick advances the simulation by one step or, when the event horizon
-// allows, by a jump of whole ticks landing no later than limit.
+// tick advances the simulation by one bulk-dense window landing no later
+// than limit (tickBulk) or, with fast-forward off, by exactly one step of
+// the plain tick-by-tick loop: the semantic oracle every fast path is
+// digest-compared against.
 func (s *Simulation) tick(limit simtime.Tick) {
-	if s.bulkDense {
+	if s.fastForward {
 		s.tickBulk(limit)
 		return
 	}
 	step := s.clock.Step()
 	now := s.clock.NowSeconds()
 
-	// Phase 0 (sequential): sources inject new work for this tick,
-	// activating the agents they enqueue on. The calendar loop polls only
-	// the sources whose schedule is due — skipped polls are no-ops by the
-	// NextPoll contract; the scan loop polls everything every tick.
-	if s.useCalendar {
-		s.pollDue(now)
-	} else {
-		for _, src := range s.sources {
-			src.Poll(s, now)
-		}
+	// Phase 0 (sequential): every source polls, activating the agents it
+	// enqueues on.
+	for _, src := range s.sources {
+		src.Poll(s, now)
 	}
 
 	// Rebind after the polls: sources may register agents that are
@@ -653,56 +619,9 @@ func (s *Simulation) tick(limit simtime.Tick) {
 		s.sweepStale = false
 	}
 
-	// Fold this tick's invalidations — source enqueues, fresh
-	// registrations — into the calendar before reading its head.
-	if s.useCalendar {
-		s.rekeyDirty()
-	}
-
-	jump := simtime.Tick(1)
-	if s.fastForward && limit > s.clock.Now()+1 {
-		if s.useCalendar {
-			jump = s.quietTicksCal(limit)
-		} else {
-			jump = s.quietTicks(limit)
-		}
-	}
-
 	// Phase 1 (parallel): time increment over the active agents only.
-	if jump == 1 {
-		s.engine.Sweep(s.sweep, func(a Agent) { a.Step(step) })
-	} else {
-		// Event-horizon fast-forward: no source fires and no agent event
-		// falls within the next jump ticks, so the skipped polls, drains
-		// and bookkeeping are all no-ops. Each active agent still advances
-		// through the elapsed ticks with the same fixed step the plain
-		// loop would use — one large dt would change float accumulation
-		// order and break bit-identity — but agent-locally, without the
-		// per-tick loop machinery: bulk-stepping agents collapse the
-		// window into tight per-accumulator loops, the rest replay Step
-		// tick by tick, and an empty active set jumps in O(1).
-		n := int(jump)
-		s.engine.Sweep(s.sweep, func(a Agent) {
-			if bs, ok := a.(BulkStepper); ok {
-				bs.StepN(n, step)
-				return
-			}
-			for i := 0; i < n; i++ {
-				a.Step(step)
-			}
-		})
-		s.jumps++
-		s.skipped += uint64(jump - 1)
-	}
-
-	tick := s.clock.AdvanceBy(jump)
-
-	// Agents whose scheduled event tick has arrived may have acted during
-	// the sweep; pop them off the calendar and queue them for a rekey once
-	// the drain has settled their state.
-	if s.useCalendar {
-		s.popDue(tick)
-	}
+	s.engine.Sweep(s.sweep, func(a Agent) { a.Step(step) })
+	tick := s.clock.AdvanceBy(1)
 
 	// Phase 3 (sequential): interaction — completed tasks advance flows.
 	// Downstream agents activated here join s.active beyond this tick's
@@ -724,9 +643,6 @@ func (s *Simulation) tick(limit simtime.Tick) {
 			b.active = false
 			b.listed = false
 			s.liveActive--
-			if s.useCalendar {
-				s.cal.remove(b.id)
-			}
 		}
 	}
 	if len(kept) != len(s.sweep) {
@@ -734,29 +650,24 @@ func (s *Simulation) tick(limit simtime.Tick) {
 	}
 	s.active = append(kept, s.active[len(s.sweep):]...)
 
-	// Rekey everything invalidated since the jump was sized: agents past
-	// their event tick, downstream agents enqueued during the drain.
-	if s.useCalendar {
-		s.rekeyDirty()
-	}
-
 	// Phase 2: measurement collection at snapshot boundaries.
 	if tick%s.collectEvery == 0 {
 		s.Collector.Snapshot(s.clock.NowSeconds())
 	}
 }
 
-// tickBulk is the bulk-dense variant of tick: instead of sweeping and
-// draining every active agent in lock step, each iteration globally steps
-// only the agents that can act within the window — the calendar entries
-// due by the landing tick plus the pinned set — and every other active
-// agent advances agent-locally: it is left untouched now and caught up in
+// tickBulk is the fast-forward loop: instead of sweeping and draining
+// every active agent in lock step, each iteration globally steps only the
+// agents that can act within the window — the calendar entries due by the
+// landing tick plus the pinned set — and every other active agent
+// advances agent-locally: it is left untouched now and caught up in
 // one horizon-bounded bulk replay when it next matters (it is enqueued on,
 // pops due, or a collector boundary / run end lands). The drain walks the
 // popped-due set plus the agents whose queues fired SetNotify since the
-// last drain, instead of the whole sweep. Jump sizing, poll scheduling and
-// per-agent arithmetic are identical to the calendar loop, so results stay
-// bit-identical (Config.NoBulkDense restores the lock-step loop for A/B).
+// last drain, instead of the whole sweep. Every skipped poll is a no-op by
+// the NextPoll contract and every per-agent step uses the plain loop's
+// arithmetic, so results stay bit-identical to the plain loop
+// (Config.NoFastForward restores it for A/B).
 //
 // The invariants that make laziness exact:
 //
@@ -769,7 +680,7 @@ func (s *Simulation) tick(limit simtime.Tick) {
 //   - Mutating or reading an agent's tick-dependent state from a
 //     sequential phase is always preceded by a catch-up (AgentBase.Sync in
 //     hardware Enqueues, syncAgent in the flow router), so enqueues land
-//     on state identical to the lock-step loop's.
+//     on state identical to the plain loop's.
 //   - Only agents at their event tick can buffer completions, and those
 //     are exactly the popped-due set; enqueued-on agents are in the drain
 //     set via their SetNotify invalidation. Lazy agents therefore never
@@ -808,10 +719,7 @@ func (s *Simulation) tickBulk(limit simtime.Tick) {
 	// hook), so its horizon is relative to the present tick.
 	s.rekeyDirty()
 
-	jump := simtime.Tick(1)
-	if s.fastForward && limit > s.clock.Now()+1 {
-		jump = s.quietTicksCal(limit)
-	}
+	jump := s.jumpTicks(s.clock.Now(), limit, s.srcMin, &s.cal)
 	landing := s.clock.Now() + jump
 
 	// The involved set: agents whose scheduled event tick falls within the
@@ -882,7 +790,7 @@ func (s *Simulation) tickBulk(limit simtime.Tick) {
 	tick := s.clock.AdvanceBy(jump)
 
 	// Phase 3 (sequential): calendar-driven drain in ascending agent-ID
-	// order — the same order the lock-step loop drains, restricted to the
+	// order — the same order the plain loop drains, restricted to the
 	// only agents that can hold completions or fresh work. Invalidations
 	// fired during the drain (downstream enqueues) accumulate for the next
 	// iteration's drain set.
@@ -943,8 +851,7 @@ func (s *Simulation) tickBulk(limit simtime.Tick) {
 
 // compactActive drops tombstoned entries from the active slice and restores
 // ascending ID order, so full-sync sweeps serve the engine the sorted live
-// set. Only the bulk-dense loop leaves tombstones; under the lock-step
-// loops this reduces to the sort the per-tick path performs itself.
+// set. Deactivation in the bulk-dense loop leaves tombstones behind.
 func (s *Simulation) compactActive() {
 	kept := s.active[:0]
 	for _, id := range s.active {
@@ -971,7 +878,7 @@ func (s *Simulation) compactActive() {
 // already-current case exits on one comparison, before any dynamic
 // dispatch — the hook sits on every enqueue.
 func (s *Simulation) syncAgent(id AgentID) {
-	if !s.bulkDense {
+	if !s.fastForward {
 		return
 	}
 	now := s.clock.Now()
@@ -1064,77 +971,6 @@ func (s *Simulation) advanceAgent(a Agent, base, n simtime.Tick) {
 // realistic step size, so it almost never shortens a jump.
 const ffGuard = 1e-6
 
-// quietTicks returns how many whole ticks the clock may advance in one
-// jump, in [1, limit-now]: the stretch strictly before the earliest
-// observable event — a source's next effective poll, an active agent's next
-// completion or internal handoff — additionally capped at the next
-// collector boundary so snapshots sample (and reset) busy accumulators at
-// exactly the ticks the plain loop would.
-func (s *Simulation) quietTicks(limit simtime.Tick) simtime.Tick {
-	now := s.clock.Now()
-	max := limit - now
-	if b := nextCollectBoundary(now, s.collectEvery) - now; b < max {
-		max = b
-	}
-	if max <= 1 {
-		return 1
-	}
-	nowSec := s.clock.NowSeconds()
-	step := s.clock.Step()
-
-	// Sources first: they are few, and a due source (an active Poisson
-	// workload, any SourceFunc) vetoes the jump before the active set is
-	// scanned at all.
-	pmin := math.Inf(1)
-	for _, src := range s.sources {
-		if p := src.NextPoll(nowSec); p < pmin {
-			pmin = p
-		}
-	}
-	if pmin <= nowSec+step {
-		return 1
-	}
-
-	// Earliest event on any active agent, bailing out as soon as one is
-	// due within the next tick — in busy stretches that is the common case
-	// and keeps the scan cheap.
-	h := math.Inf(1)
-	for _, a := range s.sweep {
-		if ah := a.Horizon(); ah < h {
-			h = ah
-			if h <= step+ffGuard {
-				return 1
-			}
-		}
-	}
-
-	k := max
-	if !math.IsInf(h, 1) {
-		// The event tick itself is single-stepped by a later iteration:
-		// the jump must land strictly before it.
-		if ke := s.clock.WholeTicksBefore(h - ffGuard); ke < k {
-			k = ke
-		}
-	}
-	if !math.IsInf(pmin, 1) {
-		// Skipped polls sit at ticks now+1 .. now+k-1; every one must land
-		// strictly before the earliest due poll. The jump itself may land
-		// on the poll tick — that tick polls normally. The float estimate
-		// is corrected against the exact tick-time arithmetic the plain
-		// loop uses for its poll timestamps.
-		if kp := s.clock.WholeTicksBefore(pmin-nowSec) + 1; kp < k {
-			k = kp
-		}
-		for k > 1 && s.clock.SecondsAt(now+k-1) >= pmin {
-			k--
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // pollDue runs the due sources' polls and refreshes their schedules. A
 // source is due when the current tick has reached its cached due tick; by
 // the NextPoll contract every poll strictly before that instant is a no-op,
@@ -1195,9 +1031,8 @@ func (s *Simulation) srcDueTick(p float64, now simtime.Tick) simtime.Tick {
 }
 
 // agentKey converts an agent horizon, observed at tick now, into the
-// calendar key: the first tick at which the agent may act. Jumps land
-// strictly before it, exactly reproducing the scan loop's per-iteration
-// bound (WholeTicksBefore of the guarded horizon).
+// calendar key: the first tick at which the agent may act (one past
+// WholeTicksBefore of the guarded horizon). Jumps land strictly before it.
 func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 	if math.IsInf(h, 1) {
 		return neverTick
@@ -1210,15 +1045,14 @@ func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 // deactivated — and clears the dirty set. This is the O(changed) core of
 // the calendar loop: only these agents pay a Horizon call per iteration.
 // An agent's horizon is relative to the tick its state has been stepped
-// through, so under the bulk-dense loop the key is based at agentTick — for
-// agents invalidated through the usual hooks that equals the current tick
-// (enqueues sync first, popped-due agents were swept to the landing), but
-// a bare MarkDirty on a lazily-stepped agent re-bases correctly too.
+// through, so the key is based at agentTick — for agents invalidated
+// through the usual hooks that equals the current tick (enqueues sync
+// first, popped-due agents were swept to the landing), but a bare
+// MarkDirty on a lazily-stepped agent re-bases correctly too.
 func (s *Simulation) rekeyDirty() {
 	if len(s.dirty) == 0 {
 		return
 	}
-	now := s.clock.Now()
 	for _, id := range s.dirty {
 		a := s.agents[id]
 		b := a.Base()
@@ -1227,49 +1061,30 @@ func (s *Simulation) rekeyDirty() {
 			s.cal.remove(id)
 			continue
 		}
-		base := now
-		if s.bulkDense {
-			base = s.agentTick[id]
-		}
+		base := s.agentTick[id]
 		s.cal.set(id, s.agentKey(s.agentHorizon(a, base), base))
 	}
 	s.dirty = s.dirty[:0]
 }
 
-// popDue moves every agent whose scheduled event tick has arrived from the
-// calendar into the dirty set. Between invalidations an agent's state
-// evolves deterministically under Step, so its absolute event tick stays
-// valid however far the clock advanced — only agents at (or past, after a
-// forced single step) their key can have acted.
-func (s *Simulation) popDue(now simtime.Tick) {
-	for s.cal.len() > 0 && s.cal.minKey() <= now {
-		id := s.cal.popMin()
-		b := s.agents[id].Base()
-		if !b.dirty {
-			b.dirty = true
-			s.dirty = append(s.dirty, id)
-		}
-	}
-}
-
 // nextCollectBoundary returns the first collector-snapshot tick strictly
 // after now: a window or span standing exactly on a boundary has already
 // snapshotted it, so the next synchronization point is one full period
-// ahead, never the current tick. The sequential jump sizers (quietTicks,
-// quietTicksCal) and the span scheduler (trySpan) must share this
-// arithmetic — a drifted bound would let a span swallow a snapshot tick or
-// truncate a jump a boundary early.
+// ahead, never the current tick. The jump sizer (jumpTicks) and the span
+// scheduler (trySpan) must share this arithmetic — a drifted bound would
+// let a span swallow a snapshot tick or truncate a jump a boundary early.
 func nextCollectBoundary(now, every simtime.Tick) simtime.Tick {
 	return now + (every - now%every)
 }
 
-// quietTicksCal is the calendar-indexed replacement for quietTicks: the
-// same jump bound — strictly before the earliest agent event, at or before
-// the earliest due poll, capped at the collector boundary and limit — read
-// off the calendar head and the cached source schedule in O(1) instead of
-// re-scanning every source and active agent.
-func (s *Simulation) quietTicksCal(limit simtime.Tick) simtime.Tick {
-	now := s.clock.Now()
+// jumpTicks sizes one window starting at tick now: how many whole ticks
+// the clock may advance, in [1, limit-now] — strictly before the earliest
+// agent event (the calendar head), at or before the earliest due poll
+// (srcMin), capped at the next collector boundary so snapshots sample (and
+// reset) busy accumulators at exactly the ticks the plain loop would. The
+// global loop (tickBulk) and every shard lane (laneWindow) size their
+// windows here, from their own calendar and source schedule, in O(1).
+func (s *Simulation) jumpTicks(now, limit, srcMin simtime.Tick, cal *calendar) simtime.Tick {
 	max := limit - now
 	if b := nextCollectBoundary(now, s.collectEvery) - now; b < max {
 		max = b
@@ -1279,14 +1094,14 @@ func (s *Simulation) quietTicksCal(limit simtime.Tick) simtime.Tick {
 	}
 	// The jump may land exactly on the earliest due poll tick — that tick
 	// polls normally; all skipped ticks fall strictly before the schedule.
-	if s.srcMin != neverTick {
-		if k := s.srcMin - now; k < max {
+	if srcMin != neverTick {
+		if k := srcMin - now; k < max {
 			max = k
 		}
 	}
 	// The earliest agent event tick itself is single-stepped by a later
 	// iteration: the jump lands strictly before it.
-	if h := s.cal.minKey(); h != neverTick {
+	if h := cal.minKey(); h != neverTick {
 		if k := h - 1 - now; k < max {
 			max = k
 		}

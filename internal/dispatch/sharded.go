@@ -18,10 +18,10 @@ import (
 // busy shards on its own goroutine, so a RunShards call is paid only when
 // the work is spread over shards.
 //
-// The engine also serves the plain Engine interface (lock-step loops,
-// Config.NoShards A/B runs) by chunking Sweep calls across the shards in
-// contiguous ascending-ID blocks — deterministic because sweep callbacks
-// only touch per-agent state.
+// The engine also serves the plain Engine interface (the plain
+// tick-by-tick loop under Config.NoFastForward) by chunking Sweep calls
+// across the shards in contiguous ascending-ID blocks — deterministic
+// because sweep callbacks only touch per-agent state.
 type Sharded struct {
 	shards int
 	jobs   []chan func(int) // jobs[i] feeds shard i+1's worker

@@ -66,14 +66,11 @@ type Experiment struct {
 // exact semantics — only NoThinning changes results (it restores the
 // bit-identity guarantee for thinned client workloads).
 type LoopFlags struct {
+	// NoFastForward forces the plain tick-by-tick loop — the oracle every
+	// fast path is digest-compared against. A sharded engine then serves
+	// plain Sweep calls, without the sharded runtime.
 	NoFastForward bool
-	NoCalendar    bool
-	NoBulkDense   bool
 	NoThinning    bool
-	// NoShards keeps a sharded engine's workers but disables the sharded
-	// runtime (partition, mailboxes, shard-local window phases) — the A/B
-	// switch isolating what sharding itself buys.
-	NoShards bool
 	// NoStretch keeps the sharded runtime but disables Chandy-Misra window
 	// stretching, restoring the barrier-per-window loop — the A/B switch
 	// isolating what spending the WAN lookahead buys (compare
@@ -492,10 +489,7 @@ func (e *Experiment) Compile() (*Run, error) {
 		Seed:           e.seed,
 		Engine:         eng,
 		NoFastForward:  e.flags.NoFastForward,
-		NoCalendar:     e.flags.NoCalendar,
-		NoBulkDense:    e.flags.NoBulkDense,
 		NoThinning:     e.flags.NoThinning,
-		NoShards:       e.flags.NoShards,
 		NoStretch:      e.flags.NoStretch,
 		NoCrossStretch: e.flags.NoCrossStretch,
 		NoFaults:       e.flags.NoFaults,

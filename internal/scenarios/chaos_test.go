@@ -131,9 +131,7 @@ func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 		return res.Digest()
 	}
 	opt := digest(experiment.LoopFlags{NoThinning: true})
-	plain := digest(experiment.LoopFlags{
-		NoFastForward: true, NoCalendar: true, NoBulkDense: true, NoThinning: true,
-	})
+	plain := digest(experiment.LoopFlags{NoFastForward: true, NoThinning: true})
 	if opt != plain {
 		t.Errorf("chaos run diverged between optimized and tick-by-tick loops:\n%s\n%s", opt, plain)
 	}

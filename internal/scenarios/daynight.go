@@ -40,17 +40,10 @@ type DayNightConfig struct {
 	// segments whose expected arrivals per tick reach the threshold are
 	// carried as a deterministic M/M/c flow instead of discrete sampling.
 	Fluid experiment.Fluid
-	// Loop A/B switches, see CaseConfig. NoFluid structurally disables a
-	// configured fluid tier — the run is bit-identical to one that never
-	// set Fluid.
-	NoFastForward  bool
-	NoCalendar     bool
-	NoBulkDense    bool
-	NoThinning     bool
-	NoShards       bool
-	NoStretch      bool
-	NoCrossStretch bool
-	NoFluid        bool
+	// LoopFlags are the time-loop A/B switches, see CaseConfig. NoFluid
+	// structurally disables a configured fluid tier — the run is
+	// bit-identical to one that never set Fluid.
+	experiment.LoopFlags
 }
 
 // defaults fills the scenario-specific zero values; the shared defaults
@@ -166,16 +159,7 @@ func dayNightExperiment(cfg DayNightConfig, ghzScale float64) (*experiment.Exper
 		experiment.WithSeed(cfg.Seed),
 		experiment.WithEngineInstance(cfg.Engine),
 		experiment.WithDuration(cfg.Hours * 3600),
-		experiment.WithLoopFlags(experiment.LoopFlags{
-			NoFastForward:  cfg.NoFastForward,
-			NoCalendar:     cfg.NoCalendar,
-			NoBulkDense:    cfg.NoBulkDense,
-			NoThinning:     cfg.NoThinning,
-			NoShards:       cfg.NoShards,
-			NoStretch:      cfg.NoStretch,
-			NoCrossStretch: cfg.NoCrossStretch,
-			NoFluid:        cfg.NoFluid,
-		}),
+		experiment.WithLoopFlags(cfg.LoopFlags),
 		experiment.WithAccessMatrix(workload.SingleMaster([]string{"NA"}, "NA")),
 		experiment.WithWorkload(experiment.Workload{
 			App: "CAD", DC: "NA",

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/experiment"
 	"repro/internal/metrics"
 )
 
@@ -66,55 +67,52 @@ func sameCollector(t *testing.T, ref, got *metrics.Collector) {
 // TestFastForwardEquivalenceOnValidation proves the event-horizon loop is a
 // pure performance change on the Chapter 5 validation scenario: completed
 // operations, every response record and every collector series must be
-// bit-identical across the plain tick-by-tick loop, the scan-based
-// fast-forward loop (NoCalendar) and the calendar-indexed loop, under all
-// three engines. The scenario mixes dense activity (overlapping series)
-// with quiet stretches (between launches and the post-launch drain), so
-// the jump, the veto and the poll-skipping paths are all exercised.
+// bit-identical between the plain tick-by-tick loop and the default
+// calendar loop, under all three engines. The scenario mixes dense
+// activity (overlapping series) with quiet stretches (between launches and
+// the post-launch drain), so the jump, the veto and the poll-skipping
+// paths are all exercised.
 func TestFastForwardEquivalenceOnValidation(t *testing.T) {
 	launchFor, runFor := 120.0, 150.0
 	if testing.Short() {
 		launchFor, runFor = 45, 75
 	}
-	run := func(eng core.Engine, noFF, noCal bool) *ValidationResult {
+	for _, tc := range ffEngines() {
+		t.Run(tc.name, func(t *testing.T) {
+			validationLoopsMatch(t, tc.mk, launchFor, runFor)
+		})
+	}
+}
+
+// validationLoopsMatch runs a shortened validation experiment on the plain
+// loop and on the default loop, each under a fresh engine from mk, and
+// asserts the two results are bit-identical: completed operations, every
+// response record, the client gauge and the per-tier CPU series.
+func validationLoopsMatch(t *testing.T, mk func() core.Engine, launchFor, runFor float64) {
+	t.Helper()
+	run := func(noFF bool) *ValidationResult {
 		res, err := RunValidation(ValidationConfig{
-			Experiment: 1, Seed: 42, Engine: eng,
+			Experiment: 1, Seed: 42, Engine: mk(),
 			LaunchFor: launchFor, RunFor: runFor,
 			SteadyStart: 30, SteadyEnd: launchFor,
-			NoFastForward: noFF, NoCalendar: noCal,
+			LoopFlags: experiment.LoopFlags{NoFastForward: noFF},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for _, tc := range ffEngines() {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := run(tc.mk(), true, false)
-			for _, leg := range []struct {
-				name  string
-				noCal bool
-			}{{"calendar", false}, {"scan", true}} {
-				got := run(tc.mk(), false, leg.noCal)
-				if ref.CompletedOps != got.CompletedOps {
-					t.Errorf("%s: completed ops: %d vs %d", leg.name, ref.CompletedOps, got.CompletedOps)
-				}
-				sameResponses(t, ref.Responses, got.Responses)
-				sameSeries(t, "clients", ref.Clients, got.Clients)
-				for tier, s := range ref.CPU {
-					sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
-				}
-			}
-		})
+	ref, got := run(true), run(false)
+	if ref.CompletedOps != got.CompletedOps {
+		t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
+	}
+	sameResponses(t, ref.Responses, got.Responses)
+	sameSeries(t, "clients", ref.Clients, got.Clients)
+	for tier, s := range ref.CPU {
+		sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
 	}
 }
 
-// TestFastForwardEquivalenceOnConsolidation proves equivalence on the
-// Chapter 6 case study in the regime fast-forward targets: a daemon-only
-// overnight window where the platform sits idle between SYNCHREP/INDEXBUILD
-// cycles. The fast-forward run must take real jumps (not trivially
-// degenerate into the plain loop) and still reproduce every output bit for
-// bit, including the daemons' own volume and duration series.
 // TestNoThinningBitIdentityWithClients proves that with thinning disabled
 // the calendar loop stays bit-identical to the plain loop even with open
 // Poisson client workloads attached: a night-floor hour of the Chapter 6
@@ -125,7 +123,8 @@ func TestNoThinningBitIdentityWithClients(t *testing.T) {
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 11, Scale: 0.1,
 			StartHour: 3, EndHour: 4,
-			Engine: eng, NoFastForward: noFF, NoThinning: true,
+			Engine:    eng,
+			LoopFlags: experiment.LoopFlags{NoFastForward: noFF, NoThinning: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -152,44 +151,25 @@ func TestNoThinningBitIdentityWithClients(t *testing.T) {
 // pure performance change: the validation scenario, a dense business-hour
 // consolidation slice with interactive clients, and the day-night client
 // scenario must all produce bit-identical completed-operation counts,
-// response records and collector series against Config.NoBulkDense, under
-// the sequential reference and both parallel engines. Thinning stays on:
-// it is orthogonal to sweep scheduling, so the RNG draw sequences already
-// agree.
+// response records and collector series against the plain loop
+// (Config.NoFastForward), under the sequential reference and both parallel
+// engines. Thinning stays on in both loops: every loop mode consumes the
+// same thinned draw sequence, so the outputs must agree bit for bit.
 func TestBulkDenseEquivalence(t *testing.T) {
 	for _, tc := range ffEngines() {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Run("validation", func(t *testing.T) {
-				run := func(noBulk bool) *ValidationResult {
-					res, err := RunValidation(ValidationConfig{
-						Experiment: 1, Seed: 42, Engine: tc.mk(),
-						LaunchFor: 45, RunFor: 75, SteadyStart: 30, SteadyEnd: 45,
-						NoBulkDense: noBulk,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				ref, got := run(true), run(false)
-				if ref.CompletedOps != got.CompletedOps {
-					t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
-				}
-				sameResponses(t, ref.Responses, got.Responses)
-				sameSeries(t, "clients", ref.Clients, got.Clients)
-				for tier, s := range ref.CPU {
-					sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
-				}
+				validationLoopsMatch(t, tc.mk, 45, 75)
 			})
 			t.Run("consolidation-dense", func(t *testing.T) {
 				if testing.Short() && tc.name != "sequential" {
 					t.Skip("dense consolidation engine matrix skipped in -short")
 				}
-				run := func(noBulk bool) *CaseStudy {
+				run := func(noFF bool) *CaseStudy {
 					cs, err := NewConsolidation(CaseConfig{
 						Step: 0.01, Seed: 7, Scale: 0.25,
 						StartHour: 13, EndHour: 14, // the global peak: the dense regime
-						Engine: tc.mk(), NoBulkDense: noBulk,
+						Engine: tc.mk(), LoopFlags: experiment.LoopFlags{NoFastForward: noFF},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -202,11 +182,6 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				if r, g := ref.Sim.CompletedOps(), got.Sim.CompletedOps(); r != g {
 					t.Errorf("completed ops: %d vs %d", r, g)
 				}
-				rj, rs := ref.Sim.FastForwardStats()
-				gj, gs := got.Sim.FastForwardStats()
-				if rj != gj || rs != gs {
-					t.Errorf("jump stats diverged: %d/%d vs %d/%d (jump sizing must be unchanged)", rj, rs, gj, gs)
-				}
 				sameResponses(t, ref.Sim.Responses, got.Sim.Responses)
 				sameCollector(t, ref.Sim.Collector, got.Sim.Collector)
 			})
@@ -218,9 +193,10 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				if testing.Short() {
 					hours = 6
 				}
-				run := func(noBulk bool) *DayNightResult {
+				run := func(noFF bool) *DayNightResult {
 					res, err := RunDayNight(DayNightConfig{
-						Seed: 42, Hours: hours, NoBulkDense: noBulk, Engine: tc.mk(),
+						Seed: 42, Hours: hours, Engine: tc.mk(),
+						LoopFlags: experiment.LoopFlags{NoFastForward: noFF},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -231,10 +207,6 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				if ref.CompletedOps != got.CompletedOps {
 					t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
 				}
-				if ref.Jumps != got.Jumps || ref.SkippedTicks != got.SkippedTicks {
-					t.Errorf("jump stats diverge: %d/%d vs %d/%d",
-						ref.Jumps, ref.SkippedTicks, got.Jumps, got.SkippedTicks)
-				}
 				sameResponses(t, ref.Responses, got.Responses)
 				sameCollector(t, ref.Sim.Collector, got.Sim.Collector)
 			})
@@ -243,45 +215,42 @@ func TestBulkDenseEquivalence(t *testing.T) {
 }
 
 // TestDayNightLoopEquivalence pins the two guarantees of the day-night
-// scenario. With thinning on, the calendar loop and the scan loop consume
-// the identical RNG sequence, so their outputs must be bit-identical —
-// and both must jump heavily across the night floor, the regime the
-// thinned sampler unlocks. With thinning off, the calendar loop must be
-// bit-identical to the plain loop (per-tick draws, no jumps to take).
+// scenario. With thinning on, the calendar loop and the plain loop consume
+// the identical thinned RNG sequence, so their outputs must be
+// bit-identical — and the calendar loop must jump heavily across the night
+// floor, the regime the thinned sampler unlocks. With thinning off, the
+// calendar loop must be bit-identical to the plain loop too (per-tick
+// draws, no jumps to take).
 func TestDayNightLoopEquivalence(t *testing.T) {
 	hours := 24.0
 	if testing.Short() {
 		hours = 6 // night floor plus the ramp into the business window
 	}
-	run := func(noFF, noCal, noThin bool) *DayNightResult {
+	run := func(noFF, noThin bool) *DayNightResult {
 		res, err := RunDayNight(DayNightConfig{
 			Seed: 42, Hours: hours,
-			NoFastForward: noFF, NoCalendar: noCal, NoThinning: noThin,
+			LoopFlags: experiment.LoopFlags{NoFastForward: noFF, NoThinning: noThin},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	t.Run("thinned-calendar-vs-scan", func(t *testing.T) {
-		cal := run(false, false, false)
-		scan := run(false, true, false)
+	t.Run("thinned-calendar-vs-plain", func(t *testing.T) {
+		plain := run(true, false)
+		cal := run(false, false)
 		if cal.SkippedTicks < 100000 {
 			t.Errorf("calendar run skipped only %d ticks; the night floor should fast-forward", cal.SkippedTicks)
 		}
-		if cal.CompletedOps != scan.CompletedOps {
-			t.Errorf("completed ops: %d vs %d", cal.CompletedOps, scan.CompletedOps)
+		if plain.CompletedOps != cal.CompletedOps {
+			t.Errorf("completed ops: %d vs %d", plain.CompletedOps, cal.CompletedOps)
 		}
-		if cal.Jumps != scan.Jumps || cal.SkippedTicks != scan.SkippedTicks {
-			t.Errorf("jump stats diverge: %d/%d vs %d/%d",
-				cal.Jumps, cal.SkippedTicks, scan.Jumps, scan.SkippedTicks)
-		}
-		sameResponses(t, cal.Responses, scan.Responses)
-		sameCollector(t, cal.Sim.Collector, scan.Sim.Collector)
+		sameResponses(t, plain.Responses, cal.Responses)
+		sameCollector(t, plain.Sim.Collector, cal.Sim.Collector)
 	})
 	t.Run("unthinned-calendar-vs-plain", func(t *testing.T) {
-		plain := run(true, false, true)
-		cal := run(false, false, true)
+		plain := run(true, true)
+		cal := run(false, true)
 		if plain.CompletedOps != cal.CompletedOps {
 			t.Errorf("completed ops: %d vs %d", plain.CompletedOps, cal.CompletedOps)
 		}
@@ -302,7 +271,7 @@ func TestThinnedArrivalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick, err := RunDayNight(DayNightConfig{Seed: 42, NoThinning: true})
+	tick, err := RunDayNight(DayNightConfig{Seed: 42, LoopFlags: experiment.LoopFlags{NoThinning: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +310,12 @@ func pooledDurations(r *metrics.Responses) (n int, mean, p90 float64) {
 	return len(all), sum / float64(len(all)), all[len(all)*9/10]
 }
 
+// TestFastForwardEquivalenceOnConsolidation proves equivalence on the
+// Chapter 6 case study in the regime fast-forward targets: a daemon-only
+// overnight window where the platform sits idle between SYNCHREP/INDEXBUILD
+// cycles. The fast-forward run must take real jumps (not trivially
+// degenerate into the plain loop) and still reproduce every output bit for
+// bit, including the daemons' own volume and duration series.
 func TestFastForwardEquivalenceOnConsolidation(t *testing.T) {
 	endHour := 4
 	if testing.Short() {
@@ -351,7 +326,7 @@ func TestFastForwardEquivalenceOnConsolidation(t *testing.T) {
 			Step: 0.05, Seed: 7, Scale: 0.25,
 			StartHour: 2, EndHour: endHour,
 			DisableClients: true, Engine: eng,
-			NoFastForward: noFF,
+			LoopFlags: experiment.LoopFlags{NoFastForward: noFF},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -205,7 +205,7 @@ func TestFluidNoFluidBitIdentity(t *testing.T) {
 		run := func(fl experiment.Fluid, noFluid bool) string {
 			cs, err := NewConsolidation(CaseConfig{
 				Step: 0.01, Seed: 11, Scale: 0.25, StartHour: 12, EndHour: 13,
-				Fluid: fl, NoFluid: noFluid,
+				Fluid: fl, LoopFlags: experiment.LoopFlags{NoFluid: noFluid},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -223,7 +223,7 @@ func TestFluidNoFluidBitIdentity(t *testing.T) {
 		run := func(noFluid bool) string {
 			res, err := RunValidation(ValidationConfig{
 				Seed: 5, LaunchFor: 120, RunFor: 180, SteadyStart: 30, SteadyEnd: 120,
-				NoFluid: noFluid,
+				LoopFlags: experiment.LoopFlags{NoFluid: noFluid},
 			})
 			if err != nil {
 				t.Fatal(err)

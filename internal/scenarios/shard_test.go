@@ -32,19 +32,20 @@ func TestShardedEquivalenceValidation(t *testing.T) {
 			}
 		})
 	}
-	// NoShards A/B: same engine and workers, sharded runtime disabled —
-	// the sweep-only fallback must also match the reference bits.
-	t.Run("sharded-4-noshards", func(t *testing.T) {
+	// Plain loop on the sharded engine: no sharded runtime, the engine's
+	// workers serve plain Sweep calls every tick — the oracle must match
+	// the reference bits through Sharded.Sweep too.
+	t.Run("sharded-4-plain", func(t *testing.T) {
 		res, err := RunValidation(ValidationConfig{
 			Experiment: 1, Seed: 42, Engine: dispatch.NewSharded(4),
 			LaunchFor: 120, RunFor: 150, SteadyStart: 30, SteadyEnd: 120,
-			NoShards: true,
+			LoopFlags: experiment.LoopFlags{NoFastForward: true},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Result.Digest(); got != ref {
-			t.Errorf("NoShards digest diverged from sequential loop:\n%s\n%s", ref, got)
+			t.Errorf("plain-loop digest diverged from sequential loop:\n%s\n%s", ref, got)
 		}
 	})
 	// NoStretch A/B: sharded runtime with a global barrier on every window —
@@ -53,7 +54,7 @@ func TestShardedEquivalenceValidation(t *testing.T) {
 		res, err := RunValidation(ValidationConfig{
 			Experiment: 1, Seed: 42, Engine: dispatch.NewSharded(4),
 			LaunchFor: 120, RunFor: 150, SteadyStart: 30, SteadyEnd: 120,
-			NoStretch: true,
+			LoopFlags: experiment.LoopFlags{NoStretch: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +77,7 @@ func TestShardedEquivalenceConsolidation(t *testing.T) {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4, Engine: eng,
-			NoStretch: noStretch,
+			LoopFlags: experiment.LoopFlags{NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +110,10 @@ func TestShardedEquivalenceDayNight(t *testing.T) {
 	}
 	run := func(eng core.Engine, noStretch bool) string {
 		t.Helper()
-		res, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 6, Engine: eng, NoStretch: noStretch})
+		res, err := RunDayNight(DayNightConfig{
+			Seed: 42, Hours: 6, Engine: eng,
+			LoopFlags: experiment.LoopFlags{NoStretch: noStretch},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ func TestStretchBarrierDrop(t *testing.T) {
 	run := func(noStretch bool) *DayNightResult {
 		t.Helper()
 		res, err := RunDayNight(DayNightConfig{
-			Seed: 42, Hours: 1, NoThinning: true,
-			Engine: dispatch.NewSharded(1), NoStretch: noStretch,
+			Seed: 42, Hours: 1, Engine: dispatch.NewSharded(1),
+			LoopFlags: experiment.LoopFlags{NoThinning: true, NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +51,7 @@ func TestStretchBarrierDrop(t *testing.T) {
 	}
 
 	// Stretching must not change a single bit of what the run computed.
-	seq, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 1, NoThinning: true})
+	seq, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 1, LoopFlags: experiment.LoopFlags{NoThinning: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMailboxDueTimeSafety(t *testing.T) {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
-			Engine: eng, NoCrossStretch: noCross,
+			Engine: eng, LoopFlags: experiment.LoopFlags{NoCrossStretch: noCross},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,8 @@ func TestMailboxDueTimeSafety(t *testing.T) {
 
 // TestMailboxAuditContract pins the exact shape of Simulation.MailboxAudit
 // across the engine matrix: (0, 0, false) whenever the sharded runtime is
-// off — sequential engines and NoShards runs — and (applied > 0,
+// off — sequential engines and plain-loop runs of a sharded engine — and
+// (applied > 0,
 // minSlack >= 0, true) whenever it is on and traffic crossed shards,
 // with or without window stretching. A shard that received no traffic must
 // never drag the minimum to its zero-initialized counter.
@@ -138,11 +139,11 @@ func TestMailboxAuditContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mailbox audit contract skipped in -short")
 	}
-	run := func(eng core.Engine, noShards, noStretch bool) *CaseStudy {
+	run := func(eng core.Engine, noFF, noStretch bool) *CaseStudy {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
-			Engine: eng, NoShards: noShards, NoStretch: noStretch,
+			Engine: eng, LoopFlags: experiment.LoopFlags{NoFastForward: noFF, NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -151,17 +152,17 @@ func TestMailboxAuditContract(t *testing.T) {
 		return cs
 	}
 	for _, tc := range []struct {
-		name     string
-		eng      core.Engine
-		noShards bool
-		wantOK   bool
+		name   string
+		eng    core.Engine
+		noFF   bool
+		wantOK bool
 	}{
 		{"sequential", &core.SequentialEngine{}, false, false},
-		{"noshards", dispatch.NewSharded(4), true, false},
+		{"sharded-plain", dispatch.NewSharded(4), true, false},
 		{"stretched", dispatch.NewSharded(4), false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cs := run(tc.eng, tc.noShards, false)
+			cs := run(tc.eng, tc.noFF, false)
 			applied, minSlack, ok := cs.Sim.MailboxAudit()
 			if ok != tc.wantOK {
 				t.Fatalf("MailboxAudit ok = %v, want %v", ok, tc.wantOK)

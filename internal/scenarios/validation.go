@@ -74,26 +74,11 @@ type ValidationConfig struct {
 	RunFor    float64
 	// Steady-state window for Table 5.2 statistics; defaults [5, 34] min.
 	SteadyStart, SteadyEnd float64
-	// NoFastForward forces the plain tick-by-tick loop; NoCalendar keeps
-	// fast-forward but restores the scan-based jump sizing; NoBulkDense
-	// keeps the calendar but restores lock-step sweeps and drains (A/B
-	// comparisons; results are bit-identical in all four modes).
-	// NoShards disables the sharded runtime of a sharded Engine (A/B).
-	// NoStretch keeps the sharded runtime but pins a global barrier on
-	// every window — the A/B baseline for Chandy-Misra window stretching.
-	// NoCrossStretch keeps stretching but blocks spans while cross-DC
-	// traffic is live — the A/B baseline for mid-span mailbox delivery.
-	// NoFluid structurally disables the fluid client-aggregation tier.
+	// LoopFlags are the time-loop A/B switches (see experiment.LoopFlags).
 	// The validation scenario launches series, not declarative workloads,
-	// so the flag is a no-op here — carried for A/B symmetry with the
-	// other scenarios (results are bit-identical either way).
-	NoFastForward  bool
-	NoCalendar     bool
-	NoBulkDense    bool
-	NoShards       bool
-	NoStretch      bool
-	NoCrossStretch bool
-	NoFluid        bool
+	// so NoThinning and NoFluid are no-ops here — carried for symmetry with
+	// the other scenarios (results are bit-identical either way).
+	experiment.LoopFlags
 }
 
 func (c *ValidationConfig) defaults() error {
@@ -116,20 +101,6 @@ func (c *ValidationConfig) defaults() error {
 		c.SteadyEnd = c.LaunchFor
 	}
 	return nil
-}
-
-// loopFlags folds the A/B switches into the experiment form — the one
-// translation shared by every legacy config adapter.
-func (c *ValidationConfig) loopFlags() experiment.LoopFlags {
-	return experiment.LoopFlags{
-		NoFastForward:  c.NoFastForward,
-		NoCalendar:     c.NoCalendar,
-		NoBulkDense:    c.NoBulkDense,
-		NoShards:       c.NoShards,
-		NoStretch:      c.NoStretch,
-		NoCrossStretch: c.NoCrossStretch,
-		NoFluid:        c.NoFluid,
-	}
 }
 
 // ValidationResult gathers everything the Chapter 5 figures and tables
@@ -188,7 +159,7 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 		experiment.WithSeed(cfg.Seed+uint64(cfg.Experiment)),
 		experiment.WithEngineInstance(cfg.Engine),
 		experiment.WithDuration(cfg.RunFor),
-		experiment.WithLoopFlags(cfg.loopFlags()),
+		experiment.WithLoopFlags(cfg.LoopFlags),
 		experiment.WithProbes(func(r *experiment.Run) []metrics.Probe {
 			return []metrics.Probe{r.Sim.GaugeProbe("clients")}
 		}),
